@@ -16,8 +16,10 @@
 #include "unit/db/database.h"
 #include "unit/db/lock_manager.h"
 #include "unit/sched/engine.h"
+#include "unit/model/reference_engine.h"
 #include "unit/sched/ready_queue.h"
 #include "unit/sim/experiment.h"
+#include "unit/sim/server.h"
 #include "unit/workload/query_trace.h"
 #include "unit/workload/update_trace.h"
 
@@ -136,10 +138,11 @@ void BM_FreshnessProbe(benchmark::State& state) {
 BENCHMARK(BM_FreshnessProbe);
 
 // Admission control: cost of one Admit() decision as the ready queue grows.
-// arg0 = queue length, arg1 = 0 for the seed's naive O(N_rq) scan, 1 for the
-// incremental Fenwick/segment-tree index (O(log N_rq)). Built by flooding an
-// engine with long-deadline queries behind a long-running head query, then
-// timing decisions via the policy hook on repeated replays.
+// arg0 = queue length, arg1 = 0 for the naive O(N_rq) scan (ReferenceEngine,
+// whose admission index is always off), 1 for Engine's online admission
+// index (O(log N_rq)). Built by flooding an engine with long-deadline
+// queries behind a long-running head query, then timing decisions via the
+// policy hook on repeated replays.
 void BM_AdmissionScan(benchmark::State& state) {
   const int queue_len = static_cast<int>(state.range(0));
   const bool indexed = state.range(1) != 0;
@@ -186,18 +189,17 @@ void BM_AdmissionScan(benchmark::State& state) {
       return true;
     }
   };
-  AdmissionParams params;
-  params.use_index = indexed;
-  AdmissionController ac(params, UsmWeights{1.0, 0.5, 1.0, 0.5});
-  EngineParams engine_params;
-  engine_params.use_admission_index = indexed;
+  AdmissionController ac(AdmissionParams{}, UsmWeights{1.0, 0.5, 1.0, 0.5});
   for (auto _ : state) {
     Probe probe;
     probe.ac = &ac;
     probe.state = &state;
     probe.candidate_id = queue_len + 1;
-    Engine engine(w, &probe, engine_params);
-    engine.Run();
+    if (indexed) {
+      Engine(w, &probe, EngineParams{}).Run();
+    } else {
+      ReferenceEngine(w, &probe, EngineParams{}).Run();
+    }
   }
   state.SetItemsProcessed(state.iterations() * queue_len);
   state.SetLabel(indexed ? "indexed" : "naive");
@@ -238,14 +240,14 @@ void BM_EngineRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRun)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
-// A/B of this PR's engine hot-path work on the med-unif cell. arg0 is the
-// query arrival rate in Hz: 5 is the paper's base rate; 50 is the
-// heavy-traffic regime the ROADMAP targets, where hundreds of queries queue
-// up and the admission scan dominates the seed's per-arrival cost. arg1 = 0
-// runs the seed-equivalent configuration (naive O(N_rq) admission scan, no
-// event compaction), 1 the optimized engine (indexed admission + lazy event
-// cancellation). Same simulation either way — outputs are bit-identical —
-// so time is the only difference.
+// A/B of the engine hot path on the med-unif cell. arg0 is the query arrival
+// rate in Hz: 5 is the paper's base rate; 50 is the heavy-traffic regime
+// where hundreds of queries queue up and a naive admission scan dominates
+// the per-arrival cost. arg1 = 0 runs ReferenceEngine (naive O(N_rq)
+// admission scan, linear event and ready-queue scans), 1 the optimized
+// Engine (online admission index, heaps, lazy event cancellation). Same
+// simulation either way — outputs are bit-identical — so time is the only
+// difference.
 void BM_EngineThroughput(benchmark::State& state) {
   const double rate_hz = static_cast<double>(state.range(0));
   const bool optimized = state.range(1) != 0;
@@ -267,23 +269,21 @@ void BM_EngineThroughput(benchmark::State& state) {
     state.SkipWithError("workload generation failed");
     return;
   }
-  EngineParams engine;
-  engine.use_admission_index = optimized;
-  engine.compact_events = optimized;
-  PolicyOptions options;
-  options.unit.admission.use_index = optimized;
-  int64_t events = 0;
+  const UsmWeights weights{1.0, 0.5, 1.0, 0.5};
+  int64_t txns = 0;
   for (auto _ : state) {
-    auto r = RunExperiment(*w, "unit", UsmWeights{1.0, 0.5, 1.0, 0.5},
-                           engine, options);
-    if (!r.ok()) {
-      state.SkipWithError("run failed");
+    auto policy = MakePolicy("unit", weights, PolicyOptions{});
+    if (!policy.ok()) {
+      state.SkipWithError("policy construction failed");
       return;
     }
-    events += r->metrics.events_processed + r->metrics.events_compacted;
+    const RunMetrics m =
+        optimized ? Engine(*w, policy->get(), EngineParams{}).Run()
+                  : ReferenceEngine(*w, policy->get(), EngineParams{}).Run();
+    txns += m.counts.submitted + m.updates_generated;
   }
-  state.SetItemsProcessed(events);  // scheduled events retired per second
-  state.SetLabel(optimized ? "optimized" : "seed-equivalent");
+  state.SetItemsProcessed(txns);  // transactions simulated per second
+  state.SetLabel(optimized ? "engine" : "reference");
 }
 BENCHMARK(BM_EngineThroughput)
     ->Args({5, 0})

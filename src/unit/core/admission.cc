@@ -2,72 +2,33 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
-#include <numeric>
 #include <vector>
 
+#include "unit/common/rng.h"
 #include "unit/sched/engine_context.h"
 
 namespace unitdb {
 
 // --- AdmissionIndex -------------------------------------------------------
 
-void AdmissionIndex::Init(const Workload& workload,
-                          const std::vector<QueryRequest>* injected) {
-  const size_t nw = workload.queries.size();
-  const size_t n = nw + (injected != nullptr ? injected->size() : 0);
-  num_workload_ = nw;
-  initialized_ = true;
+namespace {
+/// Node storage reserved up front; the vector grows past it with the ready
+/// queue, never with the trace.
+constexpr size_t kInitialNodes = 1024;
+}  // namespace
 
-  // Combined index space: [0, nw) are workload queries, [nw, n) injected
-  // ones (fault-schedule order). Request `qi` resolves through this.
-  auto request_of = [&workload, injected, nw](size_t qi) -> const QueryRequest& {
-    return qi < nw ? workload.queries[qi] : (*injected)[qi - nw];
-  };
-
-  // Creation order of query transactions equals arrival order: the event
-  // queue breaks time ties by push sequence — workload index order first,
-  // then injected index order (ScheduleInitialEvents pushes every workload
-  // query arrival before any injected one, so the stable sort's tie-break
-  // matches the pop order at equal timestamps).
-  std::vector<size_t> creation(n);
-  std::iota(creation.begin(), creation.end(), size_t{0});
-  std::stable_sort(creation.begin(), creation.end(),
-                   [&request_of](size_t a, size_t b) {
-                     return request_of(a).arrival < request_of(b).arrival;
-                   });
-
-  // Rank order (deadline, creation position) matches the naive scan's EDF
-  // (deadline, txn id) order, since query txn ids increase with creation.
-  auto deadline_of = [&request_of](size_t qi) {
-    return request_of(qi).arrival + request_of(qi).relative_deadline;
-  };
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&creation, &deadline_of](size_t a, size_t b) {
-              const SimTime da = deadline_of(creation[a]);
-              const SimTime db = deadline_of(creation[b]);
-              if (da != db) return da < db;
-              return a < b;
-            });
-
-  ranks_.assign(n, -1);
-  rank_deadline_.resize(n);
-  for (size_t r = 0; r < n; ++r) {
-    const size_t qi = creation[order[r]];
-    ranks_[qi] = static_cast<int32_t>(r);
-    rank_deadline_[r] = deadline_of(qi);
-  }
-
-  work_.Reset(n);
-  leaf_count_ = 1;
-  while (leaf_count_ < std::max<size_t>(n, 1)) leaf_count_ <<= 1;
-  nodes_.assign(2 * leaf_count_, Node{});
+void AdmissionIndex::Init(const Workload& workload) {
+  enabled_ = true;
+  nodes_.clear();
+  nodes_.reserve(std::min(workload.queries.size(), kInitialNodes));
+  root_ = -1;
+  free_head_ = -1;
+  nodes_visited_ = 0;
 }
 
-AdmissionIndex::Node AdmissionIndex::Merge(const Node& l, const Node& r) {
-  Node p;
+AdmissionIndex::Summary AdmissionIndex::Merge(const Summary& l,
+                                              const Summary& r) {
+  Summary p;
   p.count = l.count + r.count;
   p.work = l.work + r.work;
   if (l.count == 0) {  // l.work == 0, so the right half shifts by nothing
@@ -83,89 +44,143 @@ AdmissionIndex::Node AdmissionIndex::Merge(const Node& l, const Node& r) {
   return p;
 }
 
-void AdmissionIndex::PullUp(size_t leaf) {
-  for (size_t i = leaf >> 1; i >= 1; i >>= 1) {
-    nodes_[i] = Merge(nodes_[2 * i], nodes_[2 * i + 1]);
+void AdmissionIndex::Pull(int32_t t) {
+  Node& n = nodes_[t];
+  const Summary self{n.work, n.deadline - n.work, n.deadline - n.work, 1};
+  n.sum = Merge(Merge(SumOf(n.child[0]), self), SumOf(n.child[1]));
+}
+
+// Lifts child `d` of `t` (0 = left, 1 = right) above it.
+int32_t AdmissionIndex::Rotate(int32_t t, int d) {
+  const int32_t c = nodes_[t].child[d];
+  nodes_[t].child[d] = nodes_[c].child[1 - d];
+  nodes_[c].child[1 - d] = t;
+  Pull(t);
+  Pull(c);
+  return c;
+}
+
+int32_t AdmissionIndex::InsertRec(int32_t t, int32_t x) {
+  if (t < 0) return x;
+  const int d = KeyLess(nodes_[t], nodes_[x]) ? 1 : 0;
+  const int32_t c = InsertRec(nodes_[t].child[d], x);
+  nodes_[t].child[d] = c;
+  if (nodes_[c].priority > nodes_[t].priority) return Rotate(t, d);
+  Pull(t);
+  return t;
+}
+
+// Merges subtrees `a` and `b`, every key of `a` below every key of `b`.
+int32_t AdmissionIndex::Join(int32_t a, int32_t b) {
+  if (a < 0) return b;
+  if (b < 0) return a;
+  if (nodes_[a].priority > nodes_[b].priority) {
+    nodes_[a].child[1] = Join(nodes_[a].child[1], b);
+    Pull(a);
+    return a;
   }
+  nodes_[b].child[0] = Join(a, nodes_[b].child[0]);
+  Pull(b);
+  return b;
 }
 
-void AdmissionIndex::OnInsert(const Transaction& query) {
-  assert(query.is_query() && query.admission_rank() >= 0);
-  const size_t r = static_cast<size_t>(query.admission_rank());
-  const int64_t rem = query.remaining();
-  work_.Set(r, rem);
-  Node& leaf = nodes_[leaf_count_ + r];
-  leaf.count = 1;
-  leaf.work = rem;
-  leaf.min_m = leaf.max_m = query.absolute_deadline() - rem;
-  PullUp(leaf_count_ + r);
+int32_t AdmissionIndex::RemoveRec(int32_t t, int32_t x) {
+  assert(t >= 0 && "query not in the admission index");
+  if (t == x) return Join(nodes_[t].child[0], nodes_[t].child[1]);
+  const int d = KeyLess(nodes_[t], nodes_[x]) ? 1 : 0;
+  nodes_[t].child[d] = RemoveRec(nodes_[t].child[d], x);
+  Pull(t);
+  return t;
 }
 
-void AdmissionIndex::OnRemove(const Transaction& query) {
-  assert(query.is_query() && query.admission_rank() >= 0);
-  const size_t r = static_cast<size_t>(query.admission_rank());
-  work_.Set(r, 0);
-  nodes_[leaf_count_ + r] = Node{};
-  PullUp(leaf_count_ + r);
+void AdmissionIndex::OnInsert(Transaction& query) {
+  assert(query.is_query() && query.admission_node() < 0);
+  int32_t x = free_head_;
+  if (x >= 0) {
+    free_head_ = nodes_[x].child[0];
+  } else {
+    x = static_cast<int32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  nodes_[x] = Node{query.absolute_deadline(), query.id(), query.remaining(),
+                   SplitMix64(static_cast<uint64_t>(query.id())), {-1, -1},
+                   Summary{}};
+  Pull(x);
+  root_ = InsertRec(root_, x);
+  query.set_admission_node(x);
 }
 
-size_t AdmissionIndex::BoundaryRank(SimTime deadline) const {
-  return static_cast<size_t>(
-      std::upper_bound(rank_deadline_.begin(), rank_deadline_.end(),
-                       deadline) -
-      rank_deadline_.begin());
+void AdmissionIndex::OnRemove(Transaction& query) {
+  const int32_t x = query.admission_node();
+  assert(query.is_query() && x >= 0 && nodes_[x].id == query.id());
+  root_ = RemoveRec(root_, x);
+  nodes_[x].child[0] = free_head_;
+  free_head_ = x;
+  query.set_admission_node(-1);
 }
 
 SimDuration AdmissionIndex::EarlierWork(SimTime deadline) const {
-  return work_.PrefixSum(BoundaryRank(deadline));
-}
-
-int64_t AdmissionIndex::CountFromRec(size_t idx, size_t l, size_t r,
-                                     size_t from) const {
-  if (r <= from || nodes_[idx].count == 0) return 0;
-  if (l >= from) return nodes_[idx].count;
-  const size_t mid = (l + r) / 2;
-  return CountFromRec(2 * idx, l, mid, from) +
-         CountFromRec(2 * idx + 1, mid, r, from);
+  SimDuration work = 0;
+  for (int32_t t = root_; t >= 0;) {
+    ++nodes_visited_;
+    const Node& n = nodes_[t];
+    if (n.deadline <= deadline) {
+      work += SumOf(n.child[0]).work + n.work;
+      t = n.child[1];
+    } else {
+      t = n.child[0];
+    }
+  }
+  return work;
 }
 
 int64_t AdmissionIndex::LaterCount(SimTime deadline) const {
-  if (leaf_count_ == 0) return 0;
-  return CountFromRec(1, 0, leaf_count_, BoundaryRank(deadline));
+  int64_t count = 0;
+  for (int32_t t = root_; t >= 0;) {
+    ++nodes_visited_;
+    const Node& n = nodes_[t];
+    if (n.deadline > deadline) {
+      count += SumOf(n.child[1]).count + 1;
+      t = n.child[0];
+    } else {
+      t = n.child[1];
+    }
+  }
+  return count;
 }
 
-int64_t AdmissionIndex::EndangeredRec(size_t idx, size_t l, size_t r,
-                                      size_t from, int64_t lo, int64_t hi,
-                                      int64_t& acc) const {
-  const Node& nd = nodes_[idx];
-  if (r <= from || nd.count == 0) return 0;  // out of range / empty: no work
-  if (l >= from) {
-    // Fully inside the rank range: the subtree's lags, shifted by the work
-    // accumulated to its left, span [min_m - acc, max_m - acc].
-    const int64_t mn = nd.min_m - acc;
-    const int64_t mx = nd.max_m - acc;
-    if (mx < lo || mn >= hi) {
-      acc += nd.work;
-      return 0;
-    }
-    if (lo <= mn && mx < hi) {
-      acc += nd.work;
-      return nd.count;
-    }
-    // A leaf has mn == mx, so it always lands in one of the cases above.
+// Queries of subtree `t` with deadline > `deadline`, in key order, adding
+// their work to `acc`. Once `whole` (every query of `t` lies past the cut),
+// the subtree's lags, shifted by `acc`, span [min_m - acc, max_m - acc].
+int64_t AdmissionIndex::Endangered(int32_t t, SimTime deadline, bool whole,
+                                   int64_t lo, int64_t hi,
+                                   int64_t& acc) const {
+  while (!whole && t >= 0 && nodes_[t].deadline <= deadline) {
+    ++nodes_visited_;
+    t = nodes_[t].child[1];  // this node and its left subtree precede the cut
   }
-  const size_t mid = (l + r) / 2;
-  int64_t c = EndangeredRec(2 * idx, l, mid, from, lo, hi, acc);
-  c += EndangeredRec(2 * idx + 1, mid, r, from, lo, hi, acc);
-  return c;
+  if (t < 0) return 0;
+  ++nodes_visited_;
+  const Node& n = nodes_[t];
+  if (whole) {
+    const int64_t mn = n.sum.min_m - acc;
+    const int64_t mx = n.sum.max_m - acc;
+    if (mx < lo || mn >= hi || (lo <= mn && mx < hi)) {
+      acc += n.sum.work;
+      return mx < lo || mn >= hi ? 0 : n.sum.count;
+    }
+  }
+  int64_t c = Endangered(n.child[0], deadline, whole, lo, hi, acc);
+  acc += n.work;
+  const int64_t m = n.deadline - acc;
+  if (lo <= m && m < hi) ++c;
+  return c + Endangered(n.child[1], deadline, true, lo, hi, acc);
 }
 
 int64_t AdmissionIndex::CountEndangered(SimTime deadline, int64_t lo,
                                         int64_t hi) const {
-  if (leaf_count_ == 0) return 0;
   int64_t acc = 0;
-  return EndangeredRec(1, 0, leaf_count_, BoundaryRank(deadline), lo, hi,
-                       acc);
+  return Endangered(root_, deadline, /*whole=*/false, lo, hi, acc);
 }
 
 // --- AdmissionController --------------------------------------------------
@@ -183,35 +198,16 @@ bool AdmissionController::Admit(const EngineContext& engine,
                                 const Transaction& candidate,
                                 const UsmWeights& weights) {
   const AdmissionIndex& index = engine.admission_index();
-  if (params_.use_index && index.enabled() &&
-      candidate.admission_rank() >= 0) {
-    return AdmitIndexed(engine, index, candidate, weights);
-  }
-  return AdmitNaive(engine, candidate, weights);
-}
-
-// 1. Transaction deadline check: C_flex * EST + qe < qt. Rejecting an
-// unpromising query only raises user satisfaction when a rejection costs
-// no more than the deadline miss it prevents; with C_r > C_fm the
-// USM-rational move is to admit and let the firm deadline decide (the
-// system USM check still protects the other transactions).
-bool AdmissionController::DecideDeadline(const EngineContext& engine,
-                                         const Transaction& candidate,
-                                         SimDuration est, bool naive,
-                                         const UsmWeights& weights) {
-  if (!naive && weights.c_r > weights.c_fm) return true;
-  const double lhs = c_flex_ * static_cast<double>(est) +
-                     static_cast<double>(candidate.estimate());
-  const double qt = static_cast<double>(candidate.absolute_deadline() -
-                                        engine.now());
-  return lhs < qt;
+  return index.enabled() ? AdmitIndexed(engine, index, candidate, weights)
+                         : AdmitNaive(engine, candidate, weights);
 }
 
 bool AdmissionController::AdmitNaive(const EngineContext& engine,
                                      const Transaction& candidate,
                                      const UsmWeights& weights) {
   // One O(N_rq) pass over queued queries gathers both the earlier-deadline
-  // work (for EST) and the later-deadline schedule (for the USM check).
+  // work (for EST) and the later-deadline schedule (for the USM check), in
+  // visit order (EDF order under EDF dispatch).
   SimDuration earlier_work = 0;
   struct Later {
     SimTime deadline;
@@ -225,84 +221,78 @@ bool AdmissionController::AdmitNaive(const EngineContext& engine,
       later.push_back({q.absolute_deadline(), q.remaining()});
     }
   });
-
-  const SimDuration est = engine.RunningRemaining() +
-                          engine.QueuedUpdateWork() + earlier_work;
-
-  const bool naive = weights.AllZeroPenalties();
-  if (!DecideDeadline(engine, candidate, est, naive, weights)) {
-    ++rejected_by_deadline_;
-    last_reject_reason_ = "deadline";
-    return false;
-  }
-
-  // 2. System USM check: which later-deadline queries would newly miss if
-  // we slot the candidate in? (`later` is already in EDF order.)
-  if (params_.usm_check_enabled && !later.empty()) {
-    const double dmf_cost =
-        naive ? params_.zero_weight_unit_cost : weights.c_fm;
-    const double rejection_cost =
-        naive ? params_.zero_weight_unit_cost : weights.c_r;
-    if (dmf_cost > 0.0) {
-      const SimTime start = engine.now() + est;
-      SimTime with = start + candidate.estimate();
-      SimTime without = start;
-      double endangered_cost = 0.0;
-      for (const Later& q : later) {
-        with += q.remaining;
-        without += q.remaining;
-        if (with > q.deadline && without <= q.deadline) {
-          endangered_cost += dmf_cost;
-        }
-      }
-      if (endangered_cost > rejection_cost) {
-        ++rejected_by_usm_;
-        last_reject_reason_ = "usm";
-        return false;
-      }
-    }
-  }
-
-  ++admitted_;
-  last_reject_reason_ = nullptr;
-  return true;
+  // Walk the later schedule without and with the candidate slotted in
+  // ahead of it: which queries would newly miss their deadlines?
+  return Decide(engine, candidate, weights, earlier_work, !later.empty(),
+                [&later](SimTime without, SimTime with) {
+                  int64_t endangered = 0;
+                  for (const Later& q : later) {
+                    with += q.remaining;
+                    without += q.remaining;
+                    if (with > q.deadline && without <= q.deadline) {
+                      ++endangered;
+                    }
+                  }
+                  return endangered;
+                });
 }
 
 bool AdmissionController::AdmitIndexed(const EngineContext& engine,
                                        const AdmissionIndex& index,
                                        const Transaction& candidate,
                                        const UsmWeights& weights) {
-  // Same two checks as AdmitNaive, answered from the incremental index.
-  // All sums are integer SimTime arithmetic, so both the EST and every
-  // endangered-set comparison are bit-identical to the naive scan's.
-  const SimDuration earlier_work =
-      index.EarlierWork(candidate.absolute_deadline());
+  // A later query is newly endangered iff its lag falls in
+  // [start, start_with) — see Decide.
+  const SimTime deadline = candidate.absolute_deadline();
+  return Decide(engine, candidate, weights, index.EarlierWork(deadline),
+                index.LaterCount(deadline) > 0,
+                [&index, deadline](SimTime start, SimTime start_with) {
+                  return index.CountEndangered(deadline, start, start_with);
+                });
+}
+
+template <typename CountEndangered>
+bool AdmissionController::Decide(const EngineContext& engine,
+                                 const Transaction& candidate,
+                                 const UsmWeights& weights,
+                                 SimDuration earlier_work, bool any_later,
+                                 CountEndangered&& count_endangered) {
+  // Integer (SimTime) arithmetic for EST and every endangered-set
+  // comparison, so both gathering paths decide bit for bit alike.
   const SimDuration est = engine.RunningRemaining() +
                           engine.QueuedUpdateWork() + earlier_work;
-
   const bool naive = weights.AllZeroPenalties();
-  if (!DecideDeadline(engine, candidate, est, naive, weights)) {
-    ++rejected_by_deadline_;
-    last_reject_reason_ = "deadline";
-    return false;
+
+  // 1. Transaction deadline check: C_flex * EST + qe < qt. Rejecting an
+  // unpromising query only raises user satisfaction when a rejection costs
+  // no more than the deadline miss it prevents; with C_r > C_fm the
+  // USM-rational move is to admit and let the firm deadline decide (the
+  // system USM check still protects the other transactions).
+  if (!(!naive && weights.c_r > weights.c_fm)) {
+    const double lhs = c_flex_ * static_cast<double>(est) +
+                       static_cast<double>(candidate.estimate());
+    const double qt = static_cast<double>(candidate.absolute_deadline() -
+                                          engine.now());
+    if (!(lhs < qt)) {
+      ++rejected_by_deadline_;
+      last_reject_reason_ = "deadline";
+      return false;
+    }
   }
 
-  if (params_.usm_check_enabled &&
-      index.LaterCount(candidate.absolute_deadline()) > 0) {
+  // 2. System USM check: reject when the later-deadline queries the
+  // candidate would newly endanger cost more than turning it away.
+  if (params_.usm_check_enabled && any_later) {
     const double dmf_cost =
         naive ? params_.zero_weight_unit_cost : weights.c_fm;
     const double rejection_cost =
         naive ? params_.zero_weight_unit_cost : weights.c_r;
     if (dmf_cost > 0.0) {
-      // Query q (deadline > candidate's) is newly endangered iff
-      //   without_q <= deadline_q < without_q + estimate, i.e. its lag
-      //   deadline_q - prefix_work_q falls in [start, start + estimate).
       const SimTime start = engine.now() + est;
-      const int64_t endangered = index.CountEndangered(
-          candidate.absolute_deadline(), start,
-          start + candidate.estimate());
-      // Accumulate the cost exactly like the naive scan does (repeated
-      // addition), so the floating-point comparison matches bit for bit.
+      const int64_t endangered =
+          count_endangered(start, start + candidate.estimate());
+      // Accumulate the cost by repeated addition, one term per endangered
+      // query, as a per-query scan would.
       double endangered_cost = 0.0;
       for (int64_t i = 0; i < endangered; ++i) endangered_cost += dmf_cost;
       if (endangered_cost > rejection_cost) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "unit/common/fenwick.h"
 #include "unit/common/types.h"
 #include "unit/core/usm.h"
 #include "unit/txn/transaction.h"
@@ -26,62 +25,40 @@ struct AdmissionParams {
   /// zero (the naive setting): endangered transactions and the candidate are
   /// then compared at unit cost.
   double zero_weight_unit_cost = 1.0;
-  /// Answers both admission checks from the engine's incremental admission
-  /// index (O(log N_rq) per arrival) instead of the seed's naive ready-queue
-  /// scan (O(N_rq)). The two paths make bit-identical decisions; the naive
-  /// scan is kept as the oracle for the equivalence property tests and A/B
-  /// micro-benchmarks.
-  bool use_index = true;
 };
 
-/// Incremental EST/admission index, owned by the engine and kept in sync at
-/// every ready-queue mutation of a query transaction.
+/// Online EST/admission index over the queries live in the engine's ready
+/// queue, kept in sync at every ready-queue mutation of a query: a treap
+/// keyed by (absolute deadline, txn id) — the ready queue's EDF order — with
+/// deterministic SplitMix64(txn id) priorities. Nothing is presorted, so
+/// streamed, closed-loop and fault-injected arrivals are indexed alike.
+/// Each node summarizes its subtree:
 ///
-/// Every workload query's absolute deadline is known up front, so each query
-/// gets a static slot ordered by (deadline, arrival order) — the exact EDF
-/// tie-break the ready queue uses, since query transaction ids increase in
-/// arrival order. Two aggregates live over the occupied slots:
+///  - remaining service demand: the deadline check's earlier-deadline work
+///    term (EST) is one root-to-leaf walk;
+///  - min/max of the per-query "lag" m_k = deadline_k - P_k (P_k = EDF-prefix
+///    remaining work through query k within the queried key suffix),
+///    answering "how many queued queries with deadline > d have lag in
+///    [lo, hi)" — exactly the set the candidate would newly endanger.
+///    Subtrees whose lag window misses [lo, hi) are pruned, so the count is
+///    O(log n) except when many queries straddle the window.
 ///
-///  - a Fenwick tree of remaining service demand: the deadline check's
-///    earlier-deadline work term (EST) is one prefix sum, O(log N);
-///  - a segment tree over the per-query "lag" m_k = deadline_k - P_k (P_k =
-///    EDF-prefix remaining work through query k within the queried rank
-///    suffix), answering "how many queued queries with deadline > d have lag
-///    in [lo, hi)" — exactly the set of transactions the candidate would
-///    newly endanger. Subtrees whose [min, max] lag window misses [lo, hi)
-///    are pruned, so the count is O(log N) except when many queries straddle
-///    the window.
-///
-/// Integer (SimTime) arithmetic end to end, so every comparison matches the
-/// naive scan bit for bit.
+/// Nodes live in one vector with a free list (no per-node allocation); each
+/// indexed Transaction holds its node handle. Integer (SimTime) arithmetic
+/// end to end, so every comparison matches the naive scan bit for bit.
 class AdmissionIndex {
  public:
-  /// Precomputes deadline ranks for every query in `workload`, plus the
-  /// fault layer's injected queries when a schedule supplies them — injected
-  /// arrivals are known up front too (compiled before the run), so they get
-  /// static slots like everyone else. Ranks assume EDF dispatch order; do
-  /// not enable the index under other disciplines.
-  void Init(const Workload& workload,
-            const std::vector<QueryRequest>* injected = nullptr);
+  /// Clears and enables the index, reserving node storage for the first
+  /// queued queries of `workload`. Assumes EDF dispatch order.
+  void Init(const Workload& workload);
 
-  bool enabled() const { return initialized_; }
+  bool enabled() const { return enabled_; }
 
-  /// Deadline rank of workload query `query_index` (its slot); the engine
-  /// stamps this onto the Transaction at creation.
-  int32_t RankOfQuery(size_t query_index) const {
-    return ranks_[query_index];
-  }
-
-  /// Deadline rank of injected query `injected_index` (fault schedule
-  /// order). Only valid when Init saw the injected list.
-  int32_t RankOfInjected(size_t injected_index) const {
-    return ranks_[num_workload_ + injected_index];
-  }
-
-  /// The query entered the ready queue (remaining stays fixed while queued).
-  void OnInsert(const Transaction& query);
-  /// The query left the ready queue.
-  void OnRemove(const Transaction& query);
+  /// The query entered the ready queue (remaining stays fixed while
+  /// queued); stamps its node handle.
+  void OnInsert(Transaction& query);
+  /// The query left the ready queue; clears its node handle.
+  void OnRemove(Transaction& query);
 
   /// Sum of remaining demand of queued queries with deadline <= `deadline`.
   SimDuration EarlierWork(SimTime deadline) const;
@@ -95,30 +72,50 @@ class AdmissionIndex {
   int64_t CountEndangered(SimTime deadline, int64_t lo, int64_t hi) const;
 
   /// Number of currently indexed (queued) queries.
-  int64_t occupied() const { return leaf_count_ == 0 ? 0 : nodes_[1].count; }
+  int64_t occupied() const { return root_ < 0 ? 0 : nodes_[root_].sum.count; }
+
+  /// Tree nodes the three queries above have touched since Init — an
+  /// operation counter for deterministic cost tests.
+  int64_t nodes_visited() const { return nodes_visited_; }
 
  private:
-  struct Node {
+  struct Summary {
     int64_t work = 0;    ///< sum of remaining demand in the subtree
     int64_t min_m = 0;   ///< min over subtree of deadline - local prefix work
     int64_t max_m = 0;   ///< max of the same (valid only when count > 0)
-    int32_t count = 0;   ///< occupied slots in the subtree
+    int32_t count = 0;   ///< queries in the subtree
+  };
+  struct Node {
+    SimTime deadline = 0;
+    TxnId id = kInvalidTxn;
+    SimDuration work = 0;   ///< the query's remaining demand
+    uint64_t priority = 0;  ///< heap order: parent priority >= child's
+    /// Left, right; child[0] is also the free-list link of a free node.
+    int32_t child[2] = {-1, -1};
+    Summary sum;            ///< over the subtree rooted here
   };
 
-  static Node Merge(const Node& l, const Node& r);
-  void PullUp(size_t leaf);
-  size_t BoundaryRank(SimTime deadline) const;
-  int64_t CountFromRec(size_t idx, size_t l, size_t r, size_t from) const;
-  int64_t EndangeredRec(size_t idx, size_t l, size_t r, size_t from,
-                        int64_t lo, int64_t hi, int64_t& acc) const;
+  static Summary Merge(const Summary& l, const Summary& r);
+  static bool KeyLess(const Node& a, const Node& b) {
+    return a.deadline != b.deadline ? a.deadline < b.deadline : a.id < b.id;
+  }
+  const Summary& SumOf(int32_t t) const {
+    static const Summary kEmpty;
+    return t < 0 ? kEmpty : nodes_[t].sum;
+  }
+  void Pull(int32_t t);
+  int32_t Rotate(int32_t t, int d);
+  int32_t InsertRec(int32_t t, int32_t x);
+  int32_t RemoveRec(int32_t t, int32_t x);
+  int32_t Join(int32_t a, int32_t b);
+  int64_t Endangered(int32_t t, SimTime deadline, bool whole, int64_t lo,
+                     int64_t hi, int64_t& acc) const;
 
-  bool initialized_ = false;
-  size_t num_workload_ = 0;             ///< injected queries rank after these
-  std::vector<int32_t> ranks_;          ///< workload query index -> rank
-  std::vector<SimTime> rank_deadline_;  ///< rank -> absolute deadline (sorted)
-  BasicFenwickTree<int64_t> work_;      ///< rank -> remaining demand
-  size_t leaf_count_ = 0;               ///< segment-tree width (power of two)
-  std::vector<Node> nodes_;             ///< 1-based segment tree
+  bool enabled_ = false;
+  std::vector<Node> nodes_;
+  int32_t root_ = -1;
+  int32_t free_head_ = -1;
+  mutable int64_t nodes_visited_ = 0;
 };
 
 /// The paper's two-stage admission control:
@@ -132,9 +129,10 @@ class AdmissionIndex {
 ///     "endangered". Reject when their total DMF cost exceeds the rejection
 ///     cost C_r of turning the candidate away.
 ///
-/// Both checks are O(N_rq) in the paper (and in the naive oracle path);
-/// with AdmissionParams::use_index they run against the engine's
-/// AdmissionIndex in O(log N_rq), with bit-identical decisions.
+/// Both checks are O(N_rq) in the paper (and in the naive scan, which the
+/// reference engine and the FCFS ablation use); whenever the engine's
+/// AdmissionIndex is enabled they run against it in O(log N_rq), with
+/// bit-identical decisions.
 class AdmissionController {
  public:
   AdmissionController(const AdmissionParams& params,
@@ -169,8 +167,15 @@ class AdmissionController {
                   const UsmWeights& weights);
   bool AdmitIndexed(const EngineContext& engine, const AdmissionIndex& index,
                     const Transaction& candidate, const UsmWeights& weights);
-  bool DecideDeadline(const EngineContext& engine, const Transaction& candidate,
-                      SimDuration est, bool naive, const UsmWeights& weights);
+  /// Both checks, given the gathered earlier-deadline work, whether any
+  /// queued query has a later deadline, and `count_endangered(start,
+  /// start_with)`: how many later queries meet their deadline when the
+  /// later schedule starts at `start` but miss it when it starts at
+  /// `start_with` (the candidate running first).
+  template <typename CountEndangered>
+  bool Decide(const EngineContext& engine, const Transaction& candidate,
+              const UsmWeights& weights, SimDuration earlier_work,
+              bool any_later, CountEndangered&& count_endangered);
 
   AdmissionParams params_;
   UsmWeights weights_;

@@ -22,16 +22,26 @@ LotterySampler::LotterySampler(int n)
 void LotterySampler::SetEligible(int i, bool eligible) {
   if (eligible_[i] == eligible) return;
   eligible_[i] = eligible;
-  eligible_count_ += eligible ? 1 : -1;
-  if (eligible) {
-    min_tracker_.insert(tickets_[i]);
-  } else {
-    min_tracker_.erase(min_tracker_.find(tickets_[i]));
-  }
+  Rebuild();
+}
+
+void LotterySampler::SetEligibility(const std::vector<bool>& eligible) {
+  assert(static_cast<int>(eligible.size()) == size());
+  if (eligible == eligible_) return;  // e.g. every item has a source
+  eligible_ = eligible;
+  Rebuild();
+}
+
+void LotterySampler::Rebuild() {
+  ++rebuilds_;
   eligible_items_.clear();
+  min_tracker_.clear();
   for (int j = 0; j < size(); ++j) {
-    if (eligible_[j]) eligible_items_.push_back(j);
+    if (!eligible_[j]) continue;
+    eligible_items_.push_back(j);
+    min_tracker_.insert(tickets_[j]);
   }
+  eligible_count_ = static_cast<int>(eligible_items_.size());
   Rebase();
 }
 

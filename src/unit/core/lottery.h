@@ -1,6 +1,7 @@
 #ifndef UNIT_CORE_LOTTERY_H_
 #define UNIT_CORE_LOTTERY_H_
 
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -27,8 +28,12 @@ class LotterySampler {
   int size() const { return static_cast<int>(tickets_.size()); }
 
   /// Marks item i eligible (default) or permanently out of the draw
-  /// (e.g. items with no update source).
+  /// (e.g. items with no update source). O(n log n): one rebuild.
   void SetEligible(int i, bool eligible);
+  /// Sets every item's eligibility at once (`eligible.size() == size()`)
+  /// with at most one rebuild — the same state as per-item SetEligible
+  /// calls.
+  void SetEligibility(const std::vector<bool>& eligible);
   bool IsEligible(int i) const { return eligible_[i]; }
   int eligible_count() const { return eligible_count_; }
 
@@ -41,7 +46,13 @@ class LotterySampler {
   /// Draws one eligible item; returns -1 when nothing is eligible.
   int Sample(Rng& rng) const;
 
+  /// Eligibility rebuilds so far (an operation counter for cost tests).
+  int64_t rebuilds() const { return rebuilds_; }
+
  private:
+  /// Re-derives the eligible list, the minimum tracker and every weight
+  /// from eligible_ and tickets_.
+  void Rebuild();
   void Rebase();
   void RefreshWeight(int i);
 
@@ -52,6 +63,7 @@ class LotterySampler {
   std::multiset<double> min_tracker_;   ///< eligible tickets, for O(log n) min
   double floor_ = 0.0;                  ///< min at the last re-anchor (lazy)
   int eligible_count_ = 0;
+  int64_t rebuilds_ = 0;
 };
 
 }  // namespace unitdb

@@ -27,10 +27,11 @@ double UpdateModulator::DecayedTicket(ItemId item, SimTime now) {
 }
 
 void UpdateModulator::AttachSources(const Database& db) {
+  std::vector<bool> has_source(static_cast<size_t>(db.num_items()));
   for (ItemId i = 0; i < db.num_items(); ++i) {
-    const bool has_source = db.item(i).ideal_period < kNoUpdates;
-    sampler_.SetEligible(i, has_source);
+    has_source[i] = db.item(i).ideal_period < kNoUpdates;
   }
+  sampler_.SetEligibility(has_source);
 }
 
 void UpdateModulator::OnQueryAccess(ItemId item, const Transaction& q,

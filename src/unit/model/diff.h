@@ -143,8 +143,8 @@ StatusOr<DiffResult> RunDiff(const DiffCase& c, const DiffOptions& opts = {});
 /// case found; returns `c` unchanged if it does not diverge. Deterministic.
 DiffCase ShrinkCase(const DiffCase& c, const DiffOptions& opts = {});
 
-/// One-line replayable description: "seed=S case=I policy=P index=0|1
-/// compact=0|1 faults=0|1 stream=0|1 shards=K sjobs=J sessions=N shed=W
+/// One-line replayable description: "seed=S case=I policy=P compact=0|1
+/// faults=0|1 stream=0|1 shards=K sjobs=J sessions=N shed=W
 /// cache=C queries=N" — paste the seed/case pair into tools/diff_fuzz to
 /// reproduce.
 std::string DescribeCase(const DiffCase& c);

@@ -51,12 +51,11 @@ DiffCase GenerateCase(uint64_t seed, int64_t index) {
 
   // ---- Implementation-knob matrix (rotates with index; see gen.h). ----
   c.policy = kPolicies[index % 4];
-  c.engine.use_admission_index = (index / 4) % 2 == 0;
   c.engine.compact_events = (index / 8) % 2 == 0;
   const bool want_faults = (index / 16) % 2 == 0;
   // Pure rotation (no RNG draw): workloads stay identical to pre-streaming
   // corpora, so a replayed seed/case pair reproduces the same trace.
-  c.stream_queries = (index / 32) % 2 == 0;
+  c.stream_queries = (index / 4) % 2 == 0;
   // Sharded dimension, also a pure rotation: 0 (monolithic diff), 1
   // (sharded-vs-monolithic identity), 2, 3; jobs alternates per 128-block.
   c.shards = static_cast<int>((index / 64) % 4);

@@ -15,13 +15,12 @@ namespace unitdb {
 /// platform, so every failure line "seed=S case=I" replays exactly.
 ///
 /// The implementation-knob matrix rotates with `index` so a linear sweep
-/// covers {policy x use_admission_index x compact_events x faults on/off}:
+/// covers {policy x stream_queries x compact_events x faults on/off}:
 ///
 ///   policy              = {unit, imu, odu, qmf}[index % 4]
-///   use_admission_index = (index / 4) % 2 == 0
+///   stream_queries      = (index / 4) % 2 == 0
 ///   compact_events      = (index / 8) % 2 == 0
 ///   faults attached     = (index / 16) % 2 == 0
-///   stream_queries      = (index / 32) % 2 == 0
 ///   shards              = (index / 64) % 4   (0 = monolithic diff)
 ///   shard_jobs          = (index / 128) % 2 == 0 ? 1 : 2
 ///   sessions attached   = (index / 256) % 2 == 1  (closed-loop clients)

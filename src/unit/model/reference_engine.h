@@ -36,7 +36,7 @@ namespace unitdb {
 ///    and queue depths are recomputed by full sums/counts on every call;
 ///  - admission: the AdmissionIndex member is never initialized, so the
 ///    shared AdmissionController always takes its naive O(N_rq)
-///    ready-queue-scan path (no Fenwick tree, no segment tree);
+///    ready-queue-scan path (no treap);
 ///  - closed-loop sessions: the optimized engine's SessionPool (hash-map
 ///    retry chains) is mirrored with a flat vector scanned linearly per
 ///    outcome, reusing only the pure SessionOf / RetryDelay helpers — the
@@ -58,7 +58,7 @@ namespace unitdb {
 ///
 /// Tracing (EngineParams::trace) is not supported and is ignored; series
 /// and counters hooks work as in the optimized engine. The implementation
-/// knobs use_admission_index / compact_events are ignored by construction.
+/// knob compact_events is ignored by construction.
 class ReferenceEngine final : public EngineContext {
  public:
   /// `workload` and `policy` must outlive the engine; neither is owned.

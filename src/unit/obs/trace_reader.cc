@@ -90,6 +90,7 @@ Status SetField(TraceEvent* e, const char* key, LineCursor& cur) {
   if (!st.ok()) return st;
 
   if (std::strcmp(key, "t") == 0) e->time = iv;
+  else if (std::strcmp(key, "shard") == 0) e->shard = static_cast<int32_t>(iv);
   else if (std::strcmp(key, "txn") == 0) e->txn = static_cast<TxnId>(iv);
   else if (std::strcmp(key, "fault") == 0) e->txn = static_cast<TxnId>(iv);
   else if (std::strcmp(key, "items") == 0) e->resolved = iv;

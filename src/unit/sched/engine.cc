@@ -40,18 +40,12 @@ Engine::Engine(const Workload& workload, Policy* policy, EngineParams params)
     UNIT_LOG(Error) << "bad workload update specs: " << s.ToString();
   }
   metrics_.duration_s = SimToSeconds(workload.duration);
-  // The admission index precomputes ranks from the materialized query list;
-  // a streamed workload has none, so fall back to the naive admission scan
-  // (bit-identical decisions, just O(N_rq) per arrival). Session
-  // resubmissions likewise have no precomputed rank — a single un-indexed
-  // ready query would make the index's answers wrong, so the closed loop
-  // also falls back to the scan.
-  if (params_.use_admission_index && workload.query_source == nullptr &&
-      params_.discipline == QueueDiscipline::kEdf &&
-      params_.session.sessions == 0) {
-    admission_index_.Init(workload, params_.faults != nullptr
-                                        ? &params_.faults->injected_queries()
-                                        : nullptr);
+  // The admission index keys live queries online, so every EDF run — also
+  // streamed, closed-loop and fault-injected ones — shares its O(log N_rq)
+  // path. Under FCFS its (deadline, id) order is not the queue's, so
+  // admission falls back to the ready-queue scan.
+  if (params_.discipline == QueueDiscipline::kEdf) {
+    admission_index_.Init(workload);
   }
   if (params_.faults != nullptr) {
     item_outage_.assign(workload.num_items, 0);
@@ -130,7 +124,7 @@ RunMetrics Engine::Run() {
   return metrics_;
 }
 
-Transaction* Engine::NewQueryTxn(const QueryRequest& request, int32_t rank) {
+Transaction* Engine::NewQueryTxn(const QueryRequest& request) {
   const TxnId id = next_txn_id_++;
   SimDuration exec = request.exec;
   double freshness_req = request.freshness_req;
@@ -158,7 +152,6 @@ Transaction* Engine::NewQueryTxn(const QueryRequest& request, int32_t rank) {
   } else {
     ++metrics_.readset_spill;
   }
-  if (rank >= 0) t->set_admission_rank(rank);
   if (params_.estimate_noise_sigma > 0.0) {
     const double factor =
         rng_.LogNormal(0.0, params_.estimate_noise_sigma);
@@ -222,10 +215,6 @@ void Engine::ScheduleInitialEvents() {
       params_.control_period <= workload_.duration) {
     events_.Push(params_.control_period, EventType::kControlTick, 0);
   }
-  // Fault events are pushed after every workload event so that, at equal
-  // timestamps, workload arrivals pop first — the admission index's
-  // creation-order assumption (workload queries before injected ones)
-  // depends on this FIFO tie-break.
   if (params_.faults != nullptr) {
     const FaultSchedule& faults = *params_.faults;
     for (size_t i = 0; i < faults.edges().size(); ++i) {
@@ -246,7 +235,7 @@ void Engine::ScheduleInitialEvents() {
 void Engine::HandleQueryArrival(int64_t query_index) {
   if (query_cursor_ != nullptr) {
     assert(staged_query_.id == static_cast<TxnId>(query_index));
-    AdmitArrivedQuery(staged_query_, /*rank=*/-1);
+    AdmitArrivedQuery(staged_query_);
     // Stage arrival query_index + 1 under its reserved sequence. Arrivals
     // are non-decreasing in time, so the event is never in the past.
     if (query_cursor_->Next(&staged_query_)) {
@@ -258,17 +247,11 @@ void Engine::HandleQueryArrival(int64_t query_index) {
     }
     return;
   }
-  const QueryRequest& request = workload_.queries[query_index];
-  const int32_t rank =
-      admission_index_.enabled()
-          ? admission_index_.RankOfQuery(static_cast<size_t>(query_index))
-          : -1;
-  AdmitArrivedQuery(request, rank);
+  AdmitArrivedQuery(workload_.queries[query_index]);
 }
 
-void Engine::AdmitArrivedQuery(const QueryRequest& request, int32_t rank,
-                               bool resubmit) {
-  Transaction* t = NewQueryTxn(request, rank);
+void Engine::AdmitArrivedQuery(const QueryRequest& request, bool resubmit) {
+  Transaction* t = NewQueryTxn(request);
   ++metrics_.counts.submitted;
   if (!resubmit && sessions_.Eligible(t->trace_id())) {
     ++metrics_.session_requests;
@@ -366,7 +349,7 @@ void Engine::HandleClientResubmit(int64_t resubmit_index) {
   // fault adjustments (slowdown, freshness shift) apply to this attempt
   // exactly as they would to a fresh arrival.
   request.arrival = now_;
-  AdmitArrivedQuery(request, /*rank=*/-1, /*resubmit=*/true);
+  AdmitArrivedQuery(request, /*resubmit=*/true);
 }
 
 void Engine::HandleUpdateArrival(ItemId item) {
@@ -474,15 +457,8 @@ void Engine::HandleFaultEdge(int64_t edge_index) {
 }
 
 void Engine::HandleFaultQueryArrival(int64_t injected_index) {
-  const QueryRequest& request =
-      params_.faults->injected_queries()[injected_index];
-  const int32_t rank =
-      admission_index_.enabled()
-          ? admission_index_.RankOfInjected(
-                static_cast<size_t>(injected_index))
-          : -1;
   ++metrics_.fault_injected_queries;
-  AdmitArrivedQuery(request, rank);
+  AdmitArrivedQuery(params_.faults->injected_queries()[injected_index]);
 }
 
 void Engine::HandleFaultUpdateArrival(int64_t injected_index) {
@@ -988,16 +964,14 @@ void Engine::RecordWindowSample() {
 
 void Engine::ReadyInsert(Transaction* t) {
   ready_.Insert(t);
-  if (t->is_query() && t->admission_rank() >= 0) {
+  if (t->is_query() && admission_index_.enabled()) {
     admission_index_.OnInsert(*t);
   }
 }
 
 void Engine::ReadyRemove(Transaction* t) {
   ready_.Remove(t);
-  if (t->is_query() && t->admission_rank() >= 0) {
-    admission_index_.OnRemove(*t);
-  }
+  if (t->admission_node() >= 0) admission_index_.OnRemove(*t);
 }
 
 bool Engine::EventIsDead(const Event& e) const {

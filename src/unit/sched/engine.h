@@ -91,14 +91,16 @@ class Engine final : public EngineContext {
   int ReadyQueryCount() const override { return ready_.query_count(); }
   /// Number of queued updates.
   int ReadyUpdateCount() const override { return ready_.update_count(); }
-  /// Visits queued queries in EDF order (admission control's O(N_rq) scan).
+  /// Visits queued queries in queue order. Admission reaches this naive
+  /// scan only under the FCFS ablation, where the index is off; that visit
+  /// order is arrival order, not a deadline prefix.
   void ForEachReadyQueryRaw(ReadyQueryVisitor visit,
                             void* ctx) const override {
     ready_.ForEachQuery([visit, ctx](const Transaction& q) { visit(ctx, q); });
   }
 
-  /// Incremental admission index; enabled when EngineParams asks for it and
-  /// dispatch is EDF (empty/disabled otherwise).
+  /// Online admission index over the ready queue's queries; enabled under
+  /// EDF dispatch (disabled under FCFS).
   const AdmissionIndex& admission_index() const override {
     return admission_index_;
   }
@@ -123,11 +125,10 @@ class Engine final : public EngineContext {
   }
 
  private:
-  /// Creates the query transaction for `request` with precomputed admission
-  /// rank `rank` (-1: not indexed), applying any active fault adjustments
-  /// (service slowdown, freshness shift). Shared by workload and injected
-  /// arrivals.
-  Transaction* NewQueryTxn(const QueryRequest& request, int32_t rank);
+  /// Creates the query transaction for `request`, applying any active fault
+  /// adjustments (service slowdown, freshness shift). Shared by workload and
+  /// injected arrivals.
+  Transaction* NewQueryTxn(const QueryRequest& request);
   Transaction* NewUpdateTxn(ItemId item, SimDuration relative_deadline,
                             bool on_demand);
 
@@ -187,8 +188,7 @@ class Engine final : public EngineContext {
   /// Arrival-side admission path shared by workload arrivals, injected
   /// queries, and session resubmissions (`resubmit` marks the latter so the
   /// request is not re-registered with its session).
-  void AdmitArrivedQuery(const QueryRequest& request, int32_t rank,
-                         bool resubmit = false);
+  void AdmitArrivedQuery(const QueryRequest& request, bool resubmit = false);
   /// Overload shedding: while more than EngineParams::shed_watermark queries
   /// sit in the ready queue, evicts the oldest (min (arrival, id)) with a
   /// rejection. Called only when the watermark is set.

@@ -26,8 +26,8 @@ struct Workload;
 
 /// Engine tunables. Shared by the optimized engine (sched/engine.h) and the
 /// naive reference engine (model/reference_engine.h); the reference engine
-/// ignores the pure implementation knobs (use_admission_index,
-/// compact_events) since it has neither an index nor tombstones.
+/// ignores the pure implementation knob compact_events, since it has no
+/// tombstones.
 struct EngineParams {
   /// Policy control-tick period (the paper triggers its Load Balancing
   /// Controller periodically; 1 simulated second by default).
@@ -43,10 +43,6 @@ struct EngineParams {
   /// Intra-class dispatch order (EDF per the paper; FCFS for the
   /// scheduling ablation).
   QueueDiscipline discipline = QueueDiscipline::kEdf;
-  /// Maintains the incremental admission index (core/admission.h) so
-  /// admission control can answer in O(log N_rq). Only takes effect under
-  /// EDF dispatch — the index's deadline ranks assume EDF order.
-  bool use_admission_index = true;
   /// Periodically compacts tombstoned (lazily cancelled) events out of the
   /// event heap. Pop order of live events is unaffected either way.
   bool compact_events = true;
@@ -139,9 +135,9 @@ class EngineContext {
   /// Number of queued updates.
   virtual int ReadyUpdateCount() const = 0;
 
-  /// Incremental admission index; enabled when EngineParams asks for it and
-  /// dispatch is EDF. Always disabled on the reference engine, which routes
-  /// admission through the naive ready-queue scan.
+  /// Online admission index; enabled whenever the optimized engine
+  /// dispatches EDF. Disabled under FCFS and always on the reference engine,
+  /// which route admission through the naive ready-queue scan.
   virtual const AdmissionIndex& admission_index() const = 0;
 
   /// Update transactions for `item` currently in the system (queued,
@@ -160,13 +156,15 @@ class EngineContext {
   virtual void ReportRejectReason(const char* reason) = 0;
 
   /// Type-erased ready-queue visit; implementations call `visit(ctx, q)`
-  /// for every queued query in EDF order. Prefer the ForEachReadyQuery
-  /// template below, which wraps an arbitrary callable.
+  /// for every queued query in queue order (EDF under EDF dispatch).
+  /// Prefer the ForEachReadyQuery template below, which wraps an arbitrary
+  /// callable.
   using ReadyQueryVisitor = void (*)(void* ctx, const Transaction& query);
   virtual void ForEachReadyQueryRaw(ReadyQueryVisitor visit,
                                     void* ctx) const = 0;
 
-  /// Visits queued queries in EDF order (admission control's O(N_rq) scan).
+  /// Visits queued queries in queue order (admission control's naive
+  /// O(N_rq) scan, taken when admission_index() is disabled).
   template <typename Fn>
   void ForEachReadyQuery(Fn&& fn) const {
     using F = std::remove_reference_t<Fn>;

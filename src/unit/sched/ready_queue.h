@@ -63,10 +63,9 @@ class ReadyQueue {
   SimDuration TotalUpdateWork() const { return update_work_; }
 
   /// Visits queued queries in queue order (EDF order under the default
-  /// discipline — what admission control's naive O(N_rq) scan expects).
-  /// A template visitor: no std::function dispatch on the hot path. The
-  /// heap is unordered, so the visit sorts a reused scratch vector —
-  /// O(n log n), paid only by naive-scan callers.
+  /// discipline). A template visitor: no std::function dispatch. The heap
+  /// is unordered, so the visit sorts a reused scratch vector —
+  /// O(n log n), paid only by the FCFS ablation's admission scan.
   template <typename Fn>
   void ForEachQuery(Fn&& fn) const {
     VisitOrdered(queries_, fn);

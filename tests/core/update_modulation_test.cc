@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "unit/txn/transaction.h"
 
 namespace unitdb {
@@ -230,6 +232,47 @@ TEST(UpdateModulatorTest, StaleHitsAccumulateAndClear) {
   EXPECT_EQ(um.stale_hits(0), 2);
   um.Upgrade(db);
   EXPECT_EQ(um.stale_hits(0), 0);
+}
+
+// Deterministic cost of set-up: one eligibility rebuild however many items
+// lack a source, where per-item SetEligible calls rebuild once per toggled
+// item (O(n^2 log n) in all). Sources on every 8th item leave 7/8 of the
+// population ineligible, the shape a shard sees under the global item-id
+// space.
+TEST(UpdateModulatorTest, AttachSourcesRebuildsOnceAndMatchesPerItemPath) {
+  for (int n : {1024, 4096}) {
+    SCOPED_TRACE(n);
+    Database db(n);
+    std::vector<ItemUpdateSpec> specs;
+    for (ItemId i = 0; i < n; i += 8) specs.push_back(Source(i, 2.0, 5.0));
+    ASSERT_TRUE(db.ApplySpecs(specs).ok());
+    UpdateModulator um(n, EventDecayParams());
+    um.AttachSources(db);
+    EXPECT_EQ(um.sampler().rebuilds(), 1);
+    EXPECT_EQ(um.sampler().eligible_count(), n / 8);
+
+    LotterySampler per_item(n);
+    for (int i = 0; i < n; ++i) per_item.SetEligible(i, i % 8 == 0);
+    EXPECT_EQ(per_item.rebuilds(), n - n / 8);
+
+    // Same state, so the same weights and the same draws under identical
+    // ticket traffic.
+    LotterySampler bulk = um.sampler();
+    Rng traffic(99);
+    Rng draw_a(5);
+    Rng draw_b(5);
+    for (int step = 0; step < 2000; ++step) {
+      const int item = static_cast<int>(traffic.UniformInt(0, n - 1));
+      const double ticket = traffic.Uniform(-1.0, 1.0);
+      bulk.SetTicket(item, ticket);
+      per_item.SetTicket(item, ticket);
+      ASSERT_EQ(bulk.Sample(draw_a), per_item.Sample(draw_b)) << step;
+    }
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(bulk.WeightOf(i), per_item.WeightOf(i)) << i;
+    }
+    EXPECT_EQ(bulk.rebuilds(), 1);
+  }
 }
 
 }  // namespace

@@ -128,8 +128,12 @@ TEST(GenTest, IndexRotatesTheImplementationMatrix) {
   EXPECT_EQ(GenerateCase(1, 1).policy, "imu");
   EXPECT_EQ(GenerateCase(1, 2).policy, "odu");
   EXPECT_EQ(GenerateCase(1, 3).policy, "qmf");
-  EXPECT_TRUE(GenerateCase(1, 0).engine.use_admission_index);
-  EXPECT_FALSE(GenerateCase(1, 4).engine.use_admission_index);
+  // Index bit 2 picks the stream arm: of each 8-case block, the first four
+  // cases (one per policy) stream and the last four do not.
+  for (int64_t in_block : {0, 1, 2, 3}) {
+    EXPECT_TRUE(GenerateCase(1, in_block).stream_queries);
+    EXPECT_FALSE(GenerateCase(1, in_block + 4).stream_queries);
+  }
   EXPECT_TRUE(GenerateCase(1, 0).engine.compact_events);
   EXPECT_FALSE(GenerateCase(1, 8).engine.compact_events);
   EXPECT_FALSE(GenerateCase(1, 0).scenario.empty());
@@ -225,11 +229,10 @@ TEST(DiffEquivalenceTest, Fig7FaultScenario) {
 }
 
 TEST(DiffEquivalenceTest, EngineKnobToggles) {
-  // FCFS dispatch, no index, no compaction, fast control ticks.
+  // FCFS dispatch (admission index off), no compaction, fast control ticks.
   DiffCase c = StandardCase(UpdateVolume::kHigh, UpdateDistribution::kUniform,
                             "unit", Table2ishWeights());
   c.engine.discipline = QueueDiscipline::kFcfs;
-  c.engine.use_admission_index = false;
   c.engine.compact_events = false;
   c.engine.control_period = SecondsToSim(0.25);
   c.engine.estimate_noise_sigma = 0.3;
@@ -318,7 +321,7 @@ TEST(PerturbationTest, ShrinkReturnsCleanCaseUnchanged) {
 TEST(DescribeCaseTest, MentionsEveryMatrixAxis) {
   const std::string line = DescribeCase(GenerateCase(9, 21));
   for (const char* key :
-       {"seed=9", "case=21", "policy=", "index=", "compact=", "faults=",
+       {"seed=9", "case=21", "policy=", "stream=", "compact=", "faults=",
         "queries="}) {
     EXPECT_NE(line.find(key), std::string::npos) << line;
   }

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <string>
+
+#include "unit/obs/trace_check.h"
+#include "unit/shard/sharded.h"
+#include "unit/sim/experiment.h"
 
 namespace unitdb {
 namespace {
@@ -127,6 +132,59 @@ TEST(TraceReaderTest, RoundTripsEveryEventKind) {
     EXPECT_EQ(parsed->knob_before, e.knob_before);
     EXPECT_EQ(parsed->knob, e.knob);
   }
+}
+
+TEST(TraceReaderTest, RoundTripsShardTag) {
+  TraceEvent e;
+  e.time = 42;
+  e.type = TraceEventType::kAdmit;
+  e.txn = 7;
+  e.shard = 3;
+  const std::string line = Format(e);
+  ASSERT_NE(line.find("\"shard\":3"), std::string::npos) << line;
+  auto parsed = ParseTraceLine(line);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->shard, 3);
+  EXPECT_EQ(parsed->txn, 7);
+  EXPECT_EQ(Format(*parsed), line);
+
+  // Untagged events keep the default.
+  e.shard = -1;
+  auto untagged = ParseTraceLine(Format(e));
+  ASSERT_TRUE(untagged.ok());
+  EXPECT_EQ(untagged->shard, -1);
+}
+
+// A sharded run's trace files are readable and each shard file passes the
+// checker on its own; the merged global view parses too.
+TEST(TraceReaderTest, ReadsEveryFileOfAShardedTrace) {
+  auto w = MakeStandardWorkload(UpdateVolume::kMedium,
+                                UpdateDistribution::kUniform, /*scale=*/0.02,
+                                /*seed=*/42);
+  ASSERT_TRUE(w.ok());
+  const std::filesystem::path root =
+      std::filesystem::path(testing::TempDir()) / "trace_reader_sharded";
+  std::filesystem::remove_all(root);
+  ShardedParams p;
+  p.shards = 2;
+  p.trace_dir = root.string();
+  auto r = RunSharded(*w, "unit", UsmWeights{1.0, 0.5, 1.0, 0.5}, p);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  for (int k = 0; k < 2; ++k) {
+    const std::string path = (root / ("shard" + std::to_string(k) + ".jsonl"))
+                                 .string();
+    auto events = ReadTraceFile(path);
+    ASSERT_TRUE(events.ok()) << path << ": " << events.status().ToString();
+    ASSERT_FALSE(events->empty());
+    for (const TraceEvent& e : *events) ASSERT_EQ(e.shard, k);
+    const TraceCheckResult check = CheckTrace(*events);
+    EXPECT_TRUE(check.ok()) << path << ": " << TraceCheckSummary(check);
+  }
+  auto merged = ReadTraceFile((root / "merged.jsonl").string());
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_FALSE(merged->empty());
+  std::filesystem::remove_all(root);
 }
 
 TEST(TraceReaderTest, RejectsGarbage) {

@@ -2,7 +2,7 @@
 // scenarios (model/gen.h), runs each through the optimized engine and the
 // naive reference model, and compares semantic metrics, per-query outcomes,
 // and window series bit-for-bit (model/diff.h). A linear case sweep rotates
-// through {policy x use_admission_index x compact_events x faults on/off}.
+// through {policy x stream_queries x compact_events x faults on/off}.
 // On divergence the case is shrunk (ddmin-lite) and a replayable
 // "seed=S case=I ..." line is printed.
 //
@@ -17,7 +17,7 @@
 //   series=0             skip the window-series comparison
 //   stream=0|1           force the optimized side's streaming-workload path
 //                        off/on for every case (default: gen.h's rotation,
-//                        which streams every other 32-case block)
+//                        which streams every other 4-case block)
 //   shards=K             force the sharded dimension for every case: 0 =
 //                        monolithic diff, 1 = sharded-vs-monolithic
 //                        identity, >1 = sharded-vs-sharded-reference
