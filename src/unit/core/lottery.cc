@@ -1,5 +1,6 @@
 #include "unit/core/lottery.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -11,11 +12,11 @@ LotterySampler::LotterySampler(int n)
       eligible_(n, true),
       eligible_count_(n) {
   assert(n > 0);
+  while (leaf_base_ < n) leaf_base_ *= 2;
+  min_tree_.assign(2 * static_cast<size_t>(leaf_base_), kInf);
   eligible_items_.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    eligible_items_.push_back(i);
-    min_tracker_.insert(0.0);
-  }
+  for (int i = 0; i < n; ++i) eligible_items_.push_back(i);
+  FillMinTree();
   // floor_ == 0 == every ticket: weights start at zero (uniform fallback).
 }
 
@@ -35,23 +36,18 @@ void LotterySampler::SetEligibility(const std::vector<bool>& eligible) {
 void LotterySampler::Rebuild() {
   ++rebuilds_;
   eligible_items_.clear();
-  min_tracker_.clear();
   for (int j = 0; j < size(); ++j) {
-    if (!eligible_[j]) continue;
-    eligible_items_.push_back(j);
-    min_tracker_.insert(tickets_[j]);
+    if (eligible_[j]) eligible_items_.push_back(j);
   }
+  FillMinTree();
   eligible_count_ = static_cast<int>(eligible_items_.size());
   Rebase();
 }
 
 void LotterySampler::SetTicket(int i, double ticket) {
-  if (eligible_[i]) {
-    min_tracker_.erase(min_tracker_.find(tickets_[i]));
-    min_tracker_.insert(ticket);
-  }
   tickets_[i] = ticket;
   if (!eligible_[i]) return;
+  SetMinLeaf(i, ticket);
   if (ticket < floor_) {
     // Weights must stay non-negative: re-anchor at the new minimum.
     Rebase();
@@ -68,10 +64,9 @@ int LotterySampler::Sample(Rng& rng) const {
   if (eligible_count_ == 0) return -1;
   // The floor may be stale (above-minimum ticket raises don't re-anchor);
   // re-anchor exactly before drawing so probabilities match the paper's
-  // (T_j - T_min) weights. The multiset gives the exact minimum in O(1);
+  // (T_j - T_min) weights. The min tree gives the exact minimum in O(1);
   // the O(n) re-anchor only runs when the minimum actually moved.
-  const double true_min = *min_tracker_.begin();
-  if (true_min != floor_) {
+  if (min_ticket() != floor_) {
     const_cast<LotterySampler*>(this)->Rebase();
   }
   const double total = tree_.total();
@@ -93,7 +88,7 @@ int LotterySampler::Sample(Rng& rng) const {
 }
 
 void LotterySampler::Rebase() {
-  floor_ = min_tracker_.empty() ? 0.0 : *min_tracker_.begin();
+  floor_ = eligible_count_ == 0 ? 0.0 : min_ticket();
   for (int j = 0; j < size(); ++j) {
     if (eligible_[j]) {
       tree_.Set(static_cast<size_t>(j), tickets_[j] - floor_);
@@ -105,6 +100,25 @@ void LotterySampler::Rebase() {
 
 void LotterySampler::RefreshWeight(int i) {
   tree_.Set(static_cast<size_t>(i), tickets_[i] - floor_);
+}
+
+void LotterySampler::FillMinTree() {
+  for (int j = 0; j < size(); ++j) {
+    min_tree_[leaf_base_ + j] = eligible_[j] ? tickets_[j] : kInf;
+  }
+  for (int k = leaf_base_ - 1; k >= 1; --k) {
+    min_tree_[k] = std::min(min_tree_[2 * k], min_tree_[2 * k + 1]);
+  }
+}
+
+void LotterySampler::SetMinLeaf(int i, double value) {
+  int k = leaf_base_ + i;
+  min_tree_[k] = value;
+  for (k /= 2; k >= 1; k /= 2) {
+    const double m = std::min(min_tree_[2 * k], min_tree_[2 * k + 1]);
+    if (m == min_tree_[k]) break;
+    min_tree_[k] = m;
+  }
 }
 
 }  // namespace unitdb

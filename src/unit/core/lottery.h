@@ -2,7 +2,7 @@
 #define UNIT_CORE_LOTTERY_H_
 
 #include <cstdint>
-#include <set>
+#include <limits>
 #include <vector>
 
 #include "unit/common/fenwick.h"
@@ -17,10 +17,11 @@ namespace unitdb {
 /// (e.g., all tickets equal), sampling falls back to uniform over the
 /// eligible items — the natural lottery behaviour for an all-equal pool.
 ///
-/// Ticket updates cost O(log n) via a Fenwick tree plus a multiset that
-/// tracks the exact minimum; sampling is O(log n) except when the minimum
-/// moved since the last draw, which triggers an O(n) re-anchor (rare in
-/// steady state, and amortized across the draws between minimum changes).
+/// Ticket updates cost O(log n) and allocate nothing: a Fenwick tree holds
+/// the weights and a min segment tree the exact minimum eligible ticket.
+/// Sampling is O(log n) except when the minimum moved since the last draw,
+/// which triggers an O(n) re-anchor (rare in steady state, and amortized
+/// across the draws between minimum changes).
 class LotterySampler {
  public:
   explicit LotterySampler(int n);
@@ -40,6 +41,9 @@ class LotterySampler {
   void SetTicket(int i, double ticket);
   double ticket(int i) const { return tickets_[i]; }
 
+  /// Smallest ticket over eligible items; +inf when nothing is eligible.
+  double min_ticket() const { return min_tree_[1]; }
+
   /// Sampling weight of item i after the min-shift (0 for ineligible items).
   double WeightOf(int i) const;
 
@@ -55,12 +59,23 @@ class LotterySampler {
   void Rebuild();
   void Rebase();
   void RefreshWeight(int i);
+  /// Rebuilds the min tree from eligible_ and tickets_ in O(n).
+  void FillMinTree();
+  /// Sets item i's leaf in the min tree and repairs its ancestors, stopping
+  /// at the first one whose value does not change.
+  void SetMinLeaf(int i, double value);
+
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
 
   FenwickTree tree_;
   std::vector<double> tickets_;
   std::vector<bool> eligible_;
   std::vector<int> eligible_items_;     ///< for the uniform fallback
-  std::multiset<double> min_tracker_;   ///< eligible tickets, for O(log n) min
+  /// Min segment tree over tickets: leaves at [leaf_base_, 2 * leaf_base_)
+  /// hold eligible tickets (+inf for ineligible items and padding), node k
+  /// the min of nodes 2k and 2k + 1, so min_tree_[1] is the minimum.
+  std::vector<double> min_tree_;
+  int leaf_base_ = 1;                   ///< power of two >= size()
   double floor_ = 0.0;                  ///< min at the last re-anchor (lazy)
   int eligible_count_ = 0;
   int64_t rebuilds_ = 0;

@@ -175,7 +175,8 @@ void Compare(const DiffCase& c, const DiffOptions& opts, DiffResult* out) {
 
   // Final semantic metrics. Hot-path telemetry (events_processed,
   // events_cancelled, event_compactions, events_compacted,
-  // peak_ready_depth, obs_*) is implementation-specific and excluded.
+  // peak_ready_depth, peak_event_queue, obs_*) is implementation-specific
+  // and excluded.
   cmp.Counts("counts", a.counts, b.counts);
   cmp.Eq("per_class_counts.size", a.per_class_counts.size(),
          b.per_class_counts.size());

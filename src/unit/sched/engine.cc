@@ -114,6 +114,7 @@ RunMetrics Engine::Run() {
     FinalizeObservability();
   }
   metrics_.peak_ready_depth = ready_.peak_size();
+  metrics_.peak_event_queue = static_cast<int64_t>(events_.peak_size());
   // Copy per-item bookkeeping out of the database.
   metrics_.per_item_accesses.resize(db_.num_items());
   metrics_.per_item_applied_updates.resize(db_.num_items());
@@ -181,28 +182,16 @@ Transaction* Engine::NewUpdateTxn(ItemId item, SimDuration relative_deadline,
 }
 
 void Engine::ScheduleInitialEvents() {
+  // Every known-in-advance arrival stream is staged: reserving its block of
+  // sequences gives each event the FIFO tie-break it would have had if the
+  // whole stream had been pushed up front (queries, then the auto-numbered
+  // update arrivals and control tick, then the fault lists), and only its
+  // next event sits in the heap. The pop order — and so the simulation — is
+  // the same, while the heap holds live events only.
   if (workload_.query_source != nullptr) {
-    // Streaming path: the materialized schedule would push all n arrivals
-    // first, giving them FIFO tie-break sequences 0..n-1. Reserve exactly
-    // those, push only the first arrival, and let each arrival handler stage
-    // the next one under its reserved sequence — the pop order (and thus the
-    // whole simulation) is bit-identical while only one pending arrival
-    // event and one staged QueryRequest exist at a time.
-    events_.ReserveSequences(
-        static_cast<uint64_t>(workload_.query_source->count()));
     query_cursor_ = workload_.query_source->NewCursor();
-    if (query_cursor_->Next(&staged_query_)) {
-      events_.PushWithSeq(staged_query_.arrival, 0, EventType::kQueryArrival,
-                          0);
-    } else {
-      query_cursor_.reset();
-    }
-  } else {
-    for (size_t i = 0; i < workload_.queries.size(); ++i) {
-      events_.Push(workload_.queries[i].arrival, EventType::kQueryArrival,
-                   static_cast<int64_t>(i));
-    }
   }
+  OpenStream(kQueryStream, EventType::kQueryArrival, workload_.QueryCount());
   if (policy_->UsesPeriodicUpdates()) {
     for (const auto& spec : workload_.updates) {
       if (spec.ideal_period <= 0 || spec.ideal_period >= kNoUpdates) continue;
@@ -217,37 +206,60 @@ void Engine::ScheduleInitialEvents() {
   }
   if (params_.faults != nullptr) {
     const FaultSchedule& faults = *params_.faults;
-    for (size_t i = 0; i < faults.edges().size(); ++i) {
-      events_.Push(faults.edges()[i].time, EventType::kFaultEdge,
-                   static_cast<int64_t>(i));
-    }
-    for (size_t i = 0; i < faults.injected_queries().size(); ++i) {
-      events_.Push(faults.injected_queries()[i].arrival,
-                   EventType::kFaultQueryArrival, static_cast<int64_t>(i));
-    }
-    for (size_t i = 0; i < faults.injected_updates().size(); ++i) {
-      events_.Push(faults.injected_updates()[i].time,
-                   EventType::kFaultUpdateArrival, static_cast<int64_t>(i));
-    }
+    OpenStream(kFaultEdgeStream, EventType::kFaultEdge,
+               static_cast<int64_t>(faults.edges().size()));
+    OpenStream(kFaultQueryStream, EventType::kFaultQueryArrival,
+               static_cast<int64_t>(faults.injected_queries().size()));
+    OpenStream(kFaultUpdateStream, EventType::kFaultUpdateArrival,
+               static_cast<int64_t>(faults.injected_updates().size()));
   }
 }
 
-void Engine::HandleQueryArrival(int64_t query_index) {
-  if (query_cursor_ != nullptr) {
-    assert(staged_query_.id == static_cast<TxnId>(query_index));
-    AdmitArrivedQuery(staged_query_);
-    // Stage arrival query_index + 1 under its reserved sequence. Arrivals
-    // are non-decreasing in time, so the event is never in the past.
-    if (query_cursor_->Next(&staged_query_)) {
-      events_.PushWithSeq(staged_query_.arrival,
-                          static_cast<uint64_t>(query_index) + 1,
-                          EventType::kQueryArrival, query_index + 1);
-    } else {
-      query_cursor_.reset();
-    }
-    return;
+void Engine::OpenStream(StreamId id, EventType type, int64_t count) {
+  ArrivalStream& stream = streams_[id];
+  stream.type = type;
+  stream.count = count;
+  stream.first_seq = events_.ReserveSequences(static_cast<uint64_t>(count));
+  StageArrival(id, 0);
+}
+
+void Engine::StageArrival(StreamId id, int64_t index) {
+  const ArrivalStream& stream = streams_[id];
+  if (index >= stream.count) return;
+  SimTime time = 0;
+  switch (id) {
+    case kQueryStream:
+      if (query_cursor_ != nullptr) {
+        if (!query_cursor_->Next(&staged_query_)) return;
+        time = staged_query_.arrival;
+      } else {
+        time = workload_.queries[static_cast<size_t>(index)].arrival;
+      }
+      break;
+    case kFaultEdgeStream:
+      time = params_.faults->edges()[static_cast<size_t>(index)].time;
+      break;
+    case kFaultQueryStream:
+      time = params_.faults->injected_queries()[static_cast<size_t>(index)]
+                 .arrival;
+      break;
+    case kFaultUpdateStream:
+      time = params_.faults->injected_updates()[static_cast<size_t>(index)]
+                 .time;
+      break;
   }
-  AdmitArrivedQuery(workload_.queries[query_index]);
+  // Staging relies on each stream being sorted by time: the next event is
+  // pushed while the previous one is handled, so it must not be in the past.
+  assert(time >= now_ && "arrival streams must be sorted by time");
+  events_.PushWithSeq(time, stream.first_seq + static_cast<uint64_t>(index),
+                      stream.type, index);
+}
+
+void Engine::HandleQueryArrival(int64_t query_index) {
+  AdmitArrivedQuery(query_cursor_ != nullptr
+                        ? staged_query_
+                        : workload_.queries[static_cast<size_t>(query_index)]);
+  StageArrival(kQueryStream, query_index + 1);
 }
 
 void Engine::AdmitArrivedQuery(const QueryRequest& request, bool resubmit) {
@@ -431,6 +443,7 @@ void Engine::HandleControlTick() {
 }
 
 void Engine::HandleFaultEdge(int64_t edge_index) {
+  StageArrival(kFaultEdgeStream, edge_index + 1);
   const FaultEdge& edge = params_.faults->edges()[edge_index];
   ++metrics_.fault_edges;
   switch (edge.kind) {
@@ -457,11 +470,13 @@ void Engine::HandleFaultEdge(int64_t edge_index) {
 }
 
 void Engine::HandleFaultQueryArrival(int64_t injected_index) {
+  StageArrival(kFaultQueryStream, injected_index + 1);
   ++metrics_.fault_injected_queries;
   AdmitArrivedQuery(params_.faults->injected_queries()[injected_index]);
 }
 
 void Engine::HandleFaultUpdateArrival(int64_t injected_index) {
+  StageArrival(kFaultUpdateStream, injected_index + 1);
   if (now_ >= workload_.duration) return;
   const ItemId item = params_.faults->injected_updates()[injected_index].item;
   if (item_outage_[item] > 0) {

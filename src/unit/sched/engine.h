@@ -167,7 +167,27 @@ class Engine final : public EngineContext {
   /// Appends one WindowSample to params_.series (no-op when unset).
   void RecordWindowSample();
 
+  /// Known-in-advance arrival streams, staged one event at a time.
+  enum StreamId {
+    kQueryStream = 0,
+    kFaultEdgeStream,
+    kFaultQueryStream,
+    kFaultUpdateStream,
+  };
+  static constexpr int kNumStreams = kFaultUpdateStream + 1;
+  struct ArrivalStream {
+    EventType type = EventType::kQueryArrival;
+    int64_t count = 0;       ///< events in the stream
+    uint64_t first_seq = 0;  ///< event i fires under sequence first_seq + i
+  };
+
   void ScheduleInitialEvents();
+  /// Reserves `count` sequences for stream `id` and stages its first event.
+  void OpenStream(StreamId id, EventType type, int64_t count);
+  /// Pushes event `index` of stream `id` (no-op past its end). Called with
+  /// index i + 1 while event i is handled, so at most one event per stream
+  /// is pending.
+  void StageArrival(StreamId id, int64_t index);
   void HandleQueryArrival(int64_t query_index);
   void HandleUpdateArrival(ItemId item);
   /// `handle` is the transaction's packed slab handle (TxnSlot), not its id:
@@ -241,6 +261,7 @@ class Engine final : public EngineContext {
   std::vector<Transaction*> blocked_;
   std::vector<int64_t> pending_updates_per_item_;
 
+  ArrivalStream streams_[kNumStreams];
   /// Streaming workload state (set iff workload_.query_source != nullptr):
   /// cursor over the source with the next query staged — its arrival event
   /// already sits in the heap under its reserved FIFO sequence.

@@ -38,34 +38,44 @@ struct Event {
 /// no-op (a query resolved before its deadline event; a completion whose
 /// dispatch generation went stale) and periodically compacts the heap so
 /// dead events stop paying O(log n) sift costs on heavy update traces.
+///
+/// The heap is 4-ary and implicit (children of slot i at 4i+1 .. 4i+4):
+/// half the depth of a binary heap, and the four children of a slot share
+/// a cache line or two. Sifts move a hole instead of swapping. (time, seq)
+/// is a total order, so the pop order is the same as any other heap's.
 class EventQueue {
  public:
-  /// Out of line (event_queue.cc) on purpose: the inlined push_heap body is
-  /// several hundred bytes, and letting the compiler splice it into every
-  /// engine handler measurably slows the event loop (icache pressure).
+  /// Out of line (event_queue.cc) on purpose: letting the compiler splice
+  /// the sift loop into every engine handler measurably slows the event
+  /// loop (icache pressure).
   void Push(SimTime time, EventType type, int64_t payload,
             uint64_t generation = 0);
 
   /// Push with an explicitly chosen FIFO tie-break sequence instead of the
-  /// auto counter. Used by the streaming workload path: arrival i is pushed
+  /// auto counter. Used by staged arrival streams: arrival i is pushed
   /// lazily (while handling arrival i-1) but must keep the sequence it would
   /// have had if all arrivals were pushed up front — pair with
   /// ReserveSequences so the auto counter never collides.
   void PushWithSeq(SimTime time, uint64_t seq, EventType type, int64_t payload,
                    uint64_t generation = 0);
 
-  /// Pre-advances the auto sequence counter by `n`, reserving sequences
-  /// [current, current + n) for PushWithSeq. Call before any Push.
-  void ReserveSequences(uint64_t n) { next_seq_ += n; }
+  /// Advances the auto sequence counter by `n`, reserving sequences
+  /// [first, first + n) for PushWithSeq; returns `first`.
+  uint64_t ReserveSequences(uint64_t n) {
+    const uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
 
   bool empty() const { return events_.empty(); }
   size_t size() const { return events_.size(); }
+  /// Largest number of events ever held at once (an operation counter for
+  /// cost tests: it follows live events, not trace length).
+  size_t peak_size() const { return peak_size_; }
 
   const Event& Top() const { return events_.front(); }
 
-  /// Out of line like Push, and for the same reason: pop_heap's sift-down
-  /// is the other several-hundred-byte heap body, and the engine's Run loop
-  /// calls it once per event right next to every inlined handler.
+  /// Out of line like Push, and for the same reason.
   Event Pop();
 
   // --- lazy cancellation ---
@@ -93,7 +103,7 @@ class EventQueue {
     const auto live_end = std::remove_if(events_.begin(), events_.end(), dead);
     const size_t removed = static_cast<size_t>(events_.end() - live_end);
     events_.erase(live_end, events_.end());
-    std::make_heap(events_.begin(), events_.end(), Later{});
+    Heapify();
     cancelled_ = 0;
     return removed;
   }
@@ -101,16 +111,23 @@ class EventQueue {
   static constexpr size_t kCompactMinDead = 64;
 
  private:
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
+  static constexpr size_t kArity = 4;
 
-  std::vector<Event> events_;  ///< binary heap under Later
+  static bool Before(const Event& a, const Event& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+
+  void PushEvent(const Event& e);
+  /// Moves the hole at `hole` down until `e` fits there, then stores it.
+  void SiftDown(size_t hole, Event e);
+  /// Floyd's bottom-up O(n) heap construction.
+  void Heapify();
+
+  std::vector<Event> events_;  ///< 4-ary min-heap under Before
   uint64_t next_seq_ = 0;
   size_t cancelled_ = 0;
+  size_t peak_size_ = 0;
 };
 
 }  // namespace unitdb

@@ -41,6 +41,7 @@ struct RunMetrics {
   int64_t event_compactions = 0;  ///< event-heap compaction passes
   int64_t events_compacted = 0;   ///< dead events physically removed
   int peak_ready_depth = 0;       ///< largest ready-queue size observed
+  int64_t peak_event_queue = 0;   ///< most events pending in the heap at once
 
   // --- transaction-slab / read-set telemetry (memory-flat hot path; the
   // slab recycles slots, so slots_created is the arena's whole footprint

@@ -420,6 +420,8 @@ struct ParentAgg {
 
 StatusOr<ShardPartition> PartitionWorkload(const Workload& w,
                                            const ShardRouter& router) {
+  Status order = CheckArrivalOrder(w);
+  if (!order.ok()) return order;
   const int n = router.num_shards();
   ShardPartition part;
   part.shards.resize(static_cast<size_t>(n));
@@ -434,32 +436,28 @@ StatusOr<ShardPartition> PartitionWorkload(const Workload& w,
         u);
   }
 
-  // Sub-queries are re-dealt across shards, so a streaming trace is
-  // materialized here (the memory-flat path stays available per shard via
-  // each sub-workload's own plain vector).
-  std::vector<QueryRequest> queries;
-  if (w.query_source != nullptr) {
-    auto cursor = w.query_source->NewCursor();
-    QueryRequest q;
-    while (cursor->Next(&q)) queries.push_back(q);
-  } else {
-    queries = w.queries;
-  }
-
-  part.sub_count.resize(queries.size(), 0);
+  // Sub-queries are re-dealt across shards into each sub-workload's own
+  // materialized vector; the parent trace is read once, in place (or from a
+  // cursor when streamed), and no parent read set is copied.
+  part.sub_count.reserve(static_cast<size_t>(w.QueryCount()));
   std::vector<std::vector<ItemId>> groups;
   std::vector<int> touched;
-  for (size_t p = 0; p < queries.size(); ++p) {
-    const QueryRequest& q = queries[p];
+  auto split = [&](const QueryRequest& q) {
+    const size_t p = part.sub_count.size();
     router.Split(q.items, &groups, &touched);
     if (touched.empty()) touched.push_back(0);  // defensive: empty read set
     const auto total = static_cast<SimDuration>(q.items.size());
     SimDuration assigned = 0;
     for (size_t k = 0; k < touched.size(); ++k) {
       const int s = touched[k];
-      QueryRequest sq = q;
+      QueryRequest sq;
       sq.id = static_cast<TxnId>(p);  // parent trace index, for the join
-      sq.items = groups[static_cast<size_t>(s)];
+      sq.arrival = q.arrival;
+      sq.exec = q.exec;
+      sq.relative_deadline = q.relative_deadline;
+      sq.freshness_req = q.freshness_req;
+      sq.items = std::move(groups[static_cast<size_t>(s)]);
+      sq.preference_class = q.preference_class;
       if (touched.size() > 1) {
         // Service demand proportional to the sub read-set size, each sub
         // >= 1 tick, integer remainder on the last touched shard.
@@ -473,9 +471,16 @@ StatusOr<ShardPartition> PartitionWorkload(const Workload& w,
       }
       part.shards[static_cast<size_t>(s)].queries.push_back(std::move(sq));
     }
-    part.sub_count[p] = static_cast<int>(touched.size());
+    part.sub_count.push_back(static_cast<int>(touched.size()));
     part.subqueries += static_cast<int64_t>(touched.size());
     if (touched.size() > 1) ++part.cross_shard_queries;
+  };
+  if (w.query_source != nullptr) {
+    auto cursor = w.query_source->NewCursor();
+    QueryRequest q;
+    while (cursor->Next(&q)) split(q);
+  } else {
+    for (const QueryRequest& q : w.queries) split(q);
   }
   return part;
 }
@@ -563,8 +568,8 @@ StatusOr<ShardedResult> RunSharded(const Workload& workload,
   }
 
   // Scalar counters: shard 0's metrics as the base, every other shard
-  // summed in (max for the depth peak). duration_s is per-wall-clock and
-  // identical on every shard, so shard 0's copy stands.
+  // summed in (max for the depth and heap peaks). duration_s is
+  // per-wall-clock and identical on every shard, so shard 0's copy stands.
   RunMetrics& merged = result.metrics;
   merged = outputs[0].metrics;
   for (int s = 1; s < n; ++s) {
@@ -576,6 +581,8 @@ StatusOr<ShardedResult> RunSharded(const Workload& workload,
     merged.events_compacted += m.events_compacted;
     merged.peak_ready_depth = std::max(merged.peak_ready_depth,
                                        m.peak_ready_depth);
+    merged.peak_event_queue = std::max(merged.peak_event_queue,
+                                       m.peak_event_queue);
     merged.txn_live_peak += m.txn_live_peak;  // aggregate arena footprint
     merged.txn_slots_created += m.txn_slots_created;
     merged.txn_released += m.txn_released;

@@ -106,8 +106,9 @@ struct ShardPartition {
 /// service demand divided proportionally to the sub read-set size (each sub
 /// clamped to >= 1 tick, remainder on the last touched shard). Sub-query
 /// `id` carries the parent's trace index so per-shard results can be joined
-/// back. A streaming workload is materialized first. With one shard the
-/// single sub-workload is the input workload item for item.
+/// back. A streaming workload is read through a cursor. With one shard the
+/// single sub-workload is the input workload item for item. Returns
+/// InvalidArgument when a materialized trace is not sorted by arrival.
 StatusOr<ShardPartition> PartitionWorkload(const Workload& w,
                                            const ShardRouter& router);
 
@@ -122,7 +123,7 @@ struct ShardedResult {
   /// Merged global view. Outcome counts, per-class counts, and the
   /// response/freshness stats are parent-level (post-join, in deterministic
   /// merged resolution order); scalar counters are summed across shards
-  /// (peak_ready_depth: max); per-item arrays are summed elementwise;
+  /// (peak_ready_depth, peak_event_queue: max); per-item arrays are summed elementwise;
   /// busy_s is the aggregate over all shard CPUs (utilization can exceed 1).
   RunMetrics metrics;
   double usm = 0.0;  ///< average USM (Eq. 5) over parent outcomes

@@ -40,6 +40,8 @@ std::vector<std::string> KnownPolicies() {
 
 StatusOr<std::unique_ptr<Server>> Server::Create(const Workload& workload,
                                                  const Config& config) {
+  Status order = CheckArrivalOrder(workload);
+  if (!order.ok()) return order;
   auto policy = MakePolicy(config.policy, config.weights, config.options);
   if (!policy.ok()) return policy.status();
   return std::unique_ptr<Server>(

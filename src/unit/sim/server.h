@@ -44,7 +44,9 @@ class Server {
     PolicyOptions options;
   };
 
-  /// Fails on an unknown policy name. `workload` must outlive the server.
+  /// Fails on an unknown policy name or a materialized query trace that is
+  /// not sorted by arrival (CheckArrivalOrder). `workload` must outlive the
+  /// server.
   static StatusOr<std::unique_ptr<Server>> Create(const Workload& workload,
                                                   const Config& config);
 

@@ -9,6 +9,17 @@ int64_t Workload::QueryCount() const {
   return static_cast<int64_t>(queries.size());
 }
 
+Status CheckArrivalOrder(const Workload& w) {
+  for (size_t i = 1; i < w.queries.size(); ++i) {
+    if (w.queries[i].arrival < w.queries[i - 1].arrival) {
+      return Status::InvalidArgument(
+          "query trace is not sorted by arrival time: query " +
+          std::to_string(i) + " arrives before query " + std::to_string(i - 1));
+    }
+  }
+  return Status::Ok();
+}
+
 double Workload::QueryUtilization() const {
   if (duration <= 0) return 0.0;
   double busy = 0.0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 namespace unitdb {
@@ -126,6 +128,57 @@ TEST(LotterySamplerTest, LargePopulationProportions) {
   for (int i = n / 2; i < n; ++i) second_half += counts[i];
   EXPECT_EQ(first_half, 0);
   EXPECT_EQ(second_half, 50000);
+}
+
+TEST(LotterySamplerTest, MinTicketMatchesBruteForceMinimum) {
+  // Random ticket updates (with ties and negatives), single and bulk
+  // eligibility flips, and stretches where nothing is eligible: after every
+  // step the sampler's minimum equals a brute-force minimum over eligible
+  // tickets (+inf when there are none).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (int n : {1, 2, 3, 7, 64, 100}) {
+    LotterySampler s(n);
+    Rng rng(static_cast<uint64_t>(900 + n));
+    auto brute = [&]() {
+      double m = kInf;
+      for (int i = 0; i < n; ++i) {
+        if (s.IsEligible(i)) m = std::min(m, s.ticket(i));
+      }
+      return m;
+    };
+    EXPECT_EQ(s.min_ticket(), 0.0);
+    for (int step = 0; step < 3000; ++step) {
+      const int64_t op = rng.UniformInt(0, 19);
+      const int i = static_cast<int>(rng.UniformInt(0, n - 1));
+      if (op < 16) {
+        // A small value grid makes equal tickets (ties) common.
+        s.SetTicket(i, static_cast<double>(rng.UniformInt(-8, 8)) * 0.5);
+      } else if (op < 18) {
+        s.SetEligible(i, !s.IsEligible(i));
+      } else if (op == 18) {
+        s.SetEligibility(std::vector<bool>(static_cast<size_t>(n), false));
+      } else {
+        std::vector<bool> eligible(static_cast<size_t>(n));
+        for (int j = 0; j < n; ++j) eligible[j] = rng.UniformInt(0, 1) == 1;
+        s.SetEligibility(eligible);
+      }
+      ASSERT_EQ(s.min_ticket(), brute()) << "n=" << n << " step=" << step;
+      if (s.eligible_count() == 0) {
+        EXPECT_EQ(s.min_ticket(), kInf);
+        EXPECT_EQ(s.Sample(rng), -1);
+      } else if (step % 7 == 0) {
+        // Sampling re-anchors at the minimum: the minimum weighs 0 and no
+        // weight is negative.
+        EXPECT_TRUE(s.IsEligible(s.Sample(rng)));
+        for (int j = 0; j < n; ++j) {
+          EXPECT_GE(s.WeightOf(j), 0.0);
+          if (s.IsEligible(j) && s.ticket(j) == s.min_ticket()) {
+            EXPECT_EQ(s.WeightOf(j), 0.0);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

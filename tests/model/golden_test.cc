@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "unit/sim/experiment.h"
@@ -41,6 +42,10 @@ constexpr GoldenPin kPins[] = {
     {"qmf", 598, 422, 11, 165, 0, 227, 0, 92, 0, 0,
      91.223163999999926, 1.0, 1.9503783507109, 0.4205685618729097},
 };
+
+// Names the param by its policy, so the ctest names do not embed a byte dump
+// of the struct (which held the address of the policy string literal).
+void PrintTo(const GoldenPin& pin, std::ostream* os) { *os << pin.policy; }
 
 class GoldenPinTest : public ::testing::TestWithParam<GoldenPin> {};
 

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "testing/fake_policy.h"
+#include "unit/faults/scenario.h"
+#include "unit/faults/schedule.h"
+#include "unit/sim/experiment.h"
+#include "unit/workload/query_source.h"
+#include "unit/workload/query_trace.h"
 #include "unit/workload/spec.h"
+#include "unit/workload/update_trace.h"
 
 namespace unitdb {
 namespace {
@@ -316,6 +323,83 @@ TEST(EngineTest, EstimateNoiseAltersEstimatesOnly) {
   EXPECT_NE(seen_estimate, MillisToSim(50.0));
   // True demand unchanged.
   EXPECT_NEAR(m.busy_s, 0.050, 1e-9);
+}
+
+// A Poisson query trace (no flash crowds) of `duration_s` over the low
+// update volume, run under UNIT with a load-step and an update-burst fault
+// over the middle 80% of the run, so the query trace and all three fault
+// lists grow with the horizon.
+struct HeapPeak {
+  int64_t peak = 0;            ///< RunMetrics::peak_event_queue
+  int64_t sources = 0;         ///< update sources with an arrival in the run
+  int64_t arrivals = 0;        ///< queries + injected queries and updates
+};
+
+HeapPeak RunPoissonWithFaults(double duration_s, bool streamed) {
+  QueryTraceParams qp;
+  qp.seed = 42;
+  qp.burst_rate_multiplier = 1.0;
+  qp.duration = SecondsToSim(duration_s);
+  auto w = GenerateQueryTrace(qp);
+  EXPECT_TRUE(w.ok());
+  UpdateTraceParams up;
+  up.volume = UpdateVolume::kLow;
+  up.seed = 43;
+  EXPECT_TRUE(GenerateUpdateTrace(up, *w).ok());
+
+  std::string text;
+  auto add_fault = [&](int k, const std::string& kind, double rate_hz) {
+    const std::string f = "fault" + std::to_string(k) + ".";
+    text += f + "kind = " + kind + "\n" + f + "rate_hz = " +
+            std::to_string(rate_hz) + "\n" + f +
+            "start_s = " + std::to_string(0.1 * duration_s) + "\n" + f +
+            "end_s = " + std::to_string(0.9 * duration_s) + "\n";
+  };
+  add_fault(0, "load-step", 0.5);
+  add_fault(1, "update-burst", 1.0);
+  text += "fault1.items = 0-7\n";
+  auto spec = FaultScenarioSpec::Parse(text);
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  auto schedule = FaultSchedule::Compile(*spec, *w, 7);
+  EXPECT_TRUE(schedule.ok()) << schedule.status().ToString();
+  // The load step clones the materialized trace, so convert afterwards.
+  if (streamed) ConvertToStreamingWorkload(&*w);
+  EngineParams params;
+  params.faults = &*schedule;
+  auto r = RunExperiment(*w, "unit", UsmWeights{}, params);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+
+  HeapPeak out;
+  out.peak = r->metrics.peak_event_queue;
+  for (const ItemUpdateSpec& u : w->updates) {
+    if (SourceGenerationCount(u, w->duration) > 0) ++out.sources;
+  }
+  out.arrivals = w->QueryCount() + r->metrics.fault_injected_queries +
+                 r->metrics.fault_injected_updates;
+  return out;
+}
+
+TEST(EngineCostTest, EventHeapPeakDoesNotGrowWithTheTrace) {
+  // Arrival streams are staged one event at a time, so the heap holds live
+  // events only: one pending arrival per active update source, plus a
+  // bounded set of deadlines, completions, staged arrivals and tombstones.
+  // More sources start inside a longer run (their phases spread over long
+  // periods), so the bound is on the peak beyond the source count: at 4x
+  // the horizon it may grow by at most half plus 8 events, while the trace
+  // adds about 3x its arrivals (pushing them up front would add them all).
+  const HeapPeak h = RunPoissonWithFaults(120.0, /*streamed=*/false);
+  const HeapPeak h4 = RunPoissonWithFaults(480.0, /*streamed=*/false);
+  ASSERT_GT(h4.arrivals, 3 * h.arrivals);
+  const int64_t extra_h = h.peak - h.sources;
+  const int64_t extra_h4 = h4.peak - h4.sources;
+  EXPECT_GT(extra_h, 0);
+  EXPECT_LE(extra_h4, extra_h + extra_h / 2 + 8)
+      << "peak " << h.peak << " -> " << h4.peak << ", sources " << h.sources
+      << " -> " << h4.sources;
+  EXPECT_LT(h4.peak, h4.arrivals / 4);
+
+  // The streamed and materialized traces stage the same events.
+  EXPECT_EQ(RunPoissonWithFaults(480.0, /*streamed=*/true).peak, h4.peak);
 }
 
 }  // namespace

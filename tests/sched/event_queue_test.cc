@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
+
+#include "unit/common/rng.h"
 
 namespace unitdb {
 namespace {
@@ -108,6 +112,103 @@ TEST(EventQueueTest, CompactIfCanEmptyTheQueue) {
   EXPECT_TRUE(q.empty());
   q.Push(1, EventType::kControlTick, 7);  // still usable afterwards
   EXPECT_EQ(q.Pop().payload, 7);
+}
+
+TEST(EventQueueTest, RandomPushPopMatchesSortedOrder) {
+  // The 4-ary heap against a sorted reference of (time, seq): random
+  // interleavings with many time ties, and a compaction pass mid-way.
+  Rng rng(4242);
+  for (int round = 0; round < 20; ++round) {
+    EventQueue q;
+    std::vector<std::pair<SimTime, int64_t>> pending;  // (time, payload)
+    int64_t next_payload = 0;  // payloads follow push order, like seq
+    const int ops = static_cast<int>(rng.UniformInt(1, 600));
+    for (int op = 0; op < ops; ++op) {
+      if (pending.empty() || rng.UniformInt(0, 2) > 0) {
+        const SimTime t = rng.UniformInt(0, 40);
+        q.Push(t, EventType::kControlTick, next_payload);
+        pending.emplace_back(t, next_payload++);
+      } else {
+        const auto best = std::min_element(pending.begin(), pending.end());
+        ASSERT_EQ(q.Top().payload, best->second);
+        const Event e = q.Pop();
+        EXPECT_EQ(e.time, best->first);
+        EXPECT_EQ(e.payload, best->second);
+        pending.erase(best);
+      }
+      if (op == ops / 2) {
+        // Drop odd payloads and re-heapify in O(n).
+        q.CompactIf([](const Event& e) { return e.payload % 2 == 1; });
+        pending.erase(std::remove_if(pending.begin(), pending.end(),
+                                     [](const auto& p) {
+                                       return p.second % 2 == 1;
+                                     }),
+                      pending.end());
+      }
+      ASSERT_EQ(q.size(), pending.size());
+    }
+    std::sort(pending.begin(), pending.end());
+    for (const auto& [t, payload] : pending) {
+      const Event e = q.Pop();
+      EXPECT_EQ(e.time, t);
+      EXPECT_EQ(e.payload, payload);
+    }
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+TEST(EventQueueTest, PeakSizeIsTheHighWaterMark) {
+  EventQueue q;
+  EXPECT_EQ(q.peak_size(), 0u);
+  for (int i = 0; i < 5; ++i) q.Push(i, EventType::kControlTick, i);
+  q.Pop();
+  q.Pop();
+  q.Push(9, EventType::kControlTick, 9);
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.peak_size(), 5u);
+}
+
+TEST(EventQueueTest, StagedStreamKeepsTheUpFrontOrder) {
+  // A stream pushed one event at a time under reserved sequences pops in
+  // the same order as the same stream pushed up front, interleaved with
+  // auto-numbered events at equal times.
+  const std::vector<SimTime> stream = {0, 2, 2, 5, 5, 5, 9};
+  const std::vector<SimTime> others = {2, 5, 7};
+  auto drain = [](EventQueue& q, const std::vector<SimTime>& s,
+                  uint64_t first_seq, bool staged) {
+    std::vector<int64_t> order;
+    while (!q.empty()) {
+      const Event e = q.Pop();
+      if (e.type == EventType::kQueryArrival) {
+        const size_t next = static_cast<size_t>(e.payload) + 1;
+        if (staged && next < s.size()) {
+          q.PushWithSeq(s[next], first_seq + next, EventType::kQueryArrival,
+                        static_cast<int64_t>(next));
+        }
+        order.push_back(e.payload);
+      } else {
+        order.push_back(100 + e.payload);
+      }
+    }
+    return order;
+  };
+  EventQueue upfront;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    upfront.Push(stream[i], EventType::kQueryArrival, static_cast<int64_t>(i));
+  }
+  for (size_t i = 0; i < others.size(); ++i) {
+    upfront.Push(others[i], EventType::kControlTick, static_cast<int64_t>(i));
+  }
+  EventQueue staged;
+  const uint64_t first = staged.ReserveSequences(stream.size());
+  EXPECT_EQ(first, 0u);
+  staged.PushWithSeq(stream[0], first, EventType::kQueryArrival, 0);
+  for (size_t i = 0; i < others.size(); ++i) {
+    staged.Push(others[i], EventType::kControlTick, static_cast<int64_t>(i));
+  }
+  EXPECT_EQ(drain(staged, stream, first, true),
+            drain(upfront, stream, first, false));
+  EXPECT_LE(staged.peak_size(), 1 + others.size());
 }
 
 }  // namespace

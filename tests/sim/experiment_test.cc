@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "unit/sched/engine.h"
+#include "unit/shard/sharded.h"
+#include "unit/sim/server.h"
+
 namespace unitdb {
 namespace {
 
@@ -75,6 +81,65 @@ TEST(RunReplicatedTest, EngineParamsPropagate) {
   // Firm deadlines + overload: EDF completes at least as much as FCFS.
   EXPECT_GE(edf->usm.mean(), fcfs_r->usm.mean());
 }
+
+// Three queries with the second and third out of arrival order.
+Workload UnsortedTrace() {
+  Workload w;
+  w.num_items = 4;
+  w.duration = SecondsToSim(10.0);
+  const double arrivals_s[] = {1.0, 3.0, 2.0};
+  for (int i = 0; i < 3; ++i) {
+    QueryRequest q;
+    q.id = i;
+    q.arrival = SecondsToSim(arrivals_s[i]);
+    q.exec = MillisToSim(10.0);
+    q.relative_deadline = SecondsToSim(1.0);
+    q.items = {static_cast<ItemId>(i)};
+    w.queries.push_back(q);
+  }
+  return w;
+}
+
+TEST(ArrivalOrderTest, UnsortedTraceIsRejectedBeforeItRuns) {
+  Workload w = UnsortedTrace();
+  EXPECT_EQ(CheckArrivalOrder(w).code(), StatusCode::kInvalidArgument);
+  Server::Config cfg;
+  cfg.policy = "unit";
+  EXPECT_EQ(Server::Create(w, cfg).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunExperiment(w, "unit", UsmWeights{}).status().code(),
+            StatusCode::kInvalidArgument);
+  for (int shards : {1, 2}) {
+    ShardedParams sp;
+    sp.shards = shards;
+    EXPECT_EQ(RunSharded(w, "unit", UsmWeights{}, sp).status().code(),
+              StatusCode::kInvalidArgument)
+        << "shards=" << shards;
+  }
+
+  // Equal arrival times are in order; the sorted trace runs.
+  std::swap(w.queries[1], w.queries[2]);
+  w.queries[2].arrival = w.queries[1].arrival;
+  EXPECT_TRUE(CheckArrivalOrder(w).ok());
+  EXPECT_TRUE(Server::Create(w, cfg).ok());
+  ShardedParams sp;
+  sp.shards = 2;
+  EXPECT_TRUE(RunSharded(w, "unit", UsmWeights{}, sp).ok());
+}
+
+#if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
+TEST(ArrivalOrderDeathTest, EngineAssertsOnAnUnsortedTrace) {
+  const Workload w = UnsortedTrace();
+  auto policy = MakePolicy("unit", UsmWeights{}, PolicyOptions{});
+  ASSERT_TRUE(policy.ok());
+  EXPECT_DEATH(
+      {
+        Engine engine(w, policy->get(), EngineParams{});
+        engine.Run();
+      },
+      "sorted by time");
+}
+#endif
 
 }  // namespace
 }  // namespace unitdb
