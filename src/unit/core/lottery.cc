@@ -62,14 +62,52 @@ double LotterySampler::WeightOf(int i) const {
 
 int LotterySampler::Sample(Rng& rng) const {
   if (eligible_count_ == 0) return -1;
-  // The floor may be stale (above-minimum ticket raises don't re-anchor);
-  // re-anchor exactly before drawing so probabilities match the paper's
+  SyncFloor();
+  return Draw(rng, tree_.total());
+}
+
+void LotterySampler::SampleMany(Rng& rng, int count,
+                                std::vector<int>* out) const {
+  out->clear();
+  if (eligible_count_ == 0 || count <= 0) return;
+  SyncFloor();  // once: drawing changes no ticket
+  const double total = tree_.total();
+  out->reserve(static_cast<size_t>(count));
+  int k = 0;
+  if (total > 1e-12) {
+    for (; k + kBatch <= count; k += kBatch) {
+      const Rng snapshot = rng;
+      double darts[kBatch];
+      for (double& d : darts) d = rng.NextDouble() * total;
+      size_t picks[kBatch];
+      tree_.FindPrefixes(darts, picks);
+      bool fallback = false;
+      for (size_t p : picks) fallback |= !eligible_[p];
+      if (fallback) {
+        // Some dart needs the uniform fallback, whose extra draw shifts
+        // every later dart: replay the group one draw at a time.
+        rng = snapshot;
+        for (int g = 0; g < kBatch; ++g) out->push_back(Draw(rng, total));
+      } else {
+        for (size_t p : picks) out->push_back(static_cast<int>(p));
+      }
+    }
+  }
+  // The tail shorter than a group, and the uniform lottery (one
+  // UniformInt per draw), go one draw at a time.
+  for (; k < count; ++k) out->push_back(Draw(rng, total));
+}
+
+void LotterySampler::SyncFloor() const {
+  // Re-anchor exactly before drawing so probabilities match the paper's
   // (T_j - T_min) weights. The min tree gives the exact minimum in O(1);
   // the O(n) re-anchor only runs when the minimum actually moved.
   if (min_ticket() != floor_) {
     const_cast<LotterySampler*>(this)->Rebase();
   }
-  const double total = tree_.total();
+}
+
+int LotterySampler::Draw(Rng& rng, double total) const {
   if (total <= 1e-12) {
     // All shifted weights are zero: uniform lottery over eligible items.
     const size_t k = static_cast<size_t>(

@@ -50,6 +50,17 @@ class LotterySampler {
   /// Draws one eligible item; returns -1 when nothing is eligible.
   int Sample(Rng& rng) const;
 
+  /// Draws `count` items into `out` (cleared first; left empty when nothing
+  /// is eligible): the same picks, in the same order, and the same `rng`
+  /// state afterwards as `count` calls of Sample. Weighted draws run
+  /// kBatch Fenwick descents at a time; a group in which any dart lands on
+  /// an ineligible slot (the rounding fallback, which spends an extra
+  /// UniformInt) is replayed one Sample at a time from an Rng snapshot.
+  void SampleMany(Rng& rng, int count, std::vector<int>* out) const;
+
+  /// Darts per batched group in SampleMany.
+  static constexpr int kBatch = 8;
+
   /// Eligibility rebuilds so far (an operation counter for cost tests).
   int64_t rebuilds() const { return rebuilds_; }
 
@@ -58,6 +69,12 @@ class LotterySampler {
   /// from eligible_ and tickets_.
   void Rebuild();
   void Rebase();
+  /// Re-anchors the floor at the current minimum if it moved (the floor
+  /// may be stale: above-minimum ticket raises do not re-anchor).
+  void SyncFloor() const;
+  /// One draw once the floor is synced: weighted when `total` (the tree's
+  /// total weight) is positive, else uniform over the eligible items.
+  int Draw(Rng& rng, double total) const;
   void RefreshWeight(int i);
   /// Rebuilds the min tree from eligible_ and tickets_ in O(n).
   void FillMinTree();

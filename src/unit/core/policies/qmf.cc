@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "unit/db/database.h"
 #include "unit/sched/engine_context.h"
@@ -16,6 +15,7 @@ void QmfPolicy::Attach(EngineContext& engine) {
   const int n = engine.db().num_items();
   access_count_.assign(n, 0.0);
   update_count_.assign(n, 0.0);
+  ranked_.reserve(static_cast<size_t>(n));
   window_budget_s_ =
       budget_ * SimToSeconds(engine.params().control_period);
   window_admitted_work_s_ = 0.0;
@@ -108,8 +108,9 @@ void QmfPolicy::DegradeLowestRatio(EngineContext& engine) {
   Database& db = engine.db();
   // Rank update-bearing items by access/update ratio, lowest first: items
   // that are updated a lot but read rarely lose update bandwidth first.
-  std::vector<int> order;
-  order.reserve(db.num_items());
+  // Each ratio is computed once; (ratio, id) pairs order lexicographically,
+  // a strict total order, so the batch and its order are unique.
+  ranked_.clear();
   for (ItemId i = 0; i < db.num_items(); ++i) {
     const DataItemState& item = db.item(i);
     if (item.ideal_period >= kNoUpdates) continue;
@@ -117,21 +118,14 @@ void QmfPolicy::DegradeLowestRatio(EngineContext& engine) {
         static_cast<double>(item.ideal_period) * params_.max_stretch) {
       continue;
     }
-    order.push_back(i);
+    ranked_.emplace_back(access_count_[i] / (update_count_[i] + 1.0), i);
   }
-  auto ratio = [this](int i) {
-    return access_count_[i] / (update_count_[i] + 1.0);
-  };
-  const size_t k =
-      std::min<size_t>(order.size(), static_cast<size_t>(params_.degrade_batch));
-  std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                    [&](int a, int b) {
-                      const double ra = ratio(a), rb = ratio(b);
-                      if (ra != rb) return ra < rb;
-                      return a < b;
-                    });
-  for (size_t j = 0; j < k; ++j) {
-    const ItemId i = order[j];
+  const auto k = static_cast<std::ptrdiff_t>(std::min<size_t>(
+      ranked_.size(), static_cast<size_t>(params_.degrade_batch)));
+  std::nth_element(ranked_.begin(), ranked_.begin() + k, ranked_.end());
+  std::sort(ranked_.begin(), ranked_.begin() + k);
+  for (std::ptrdiff_t j = 0; j < k; ++j) {
+    const ItemId i = ranked_[static_cast<size_t>(j)].second;
     const DataItemState& item = db.item(i);
     const double cap =
         static_cast<double>(item.ideal_period) * params_.max_stretch;

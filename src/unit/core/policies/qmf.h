@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "unit/core/policy.h"
@@ -83,6 +84,9 @@ class QmfPolicy : public Policy {
   // Per-item decayed access/update counters for QoD degradation.
   std::vector<double> access_count_;
   std::vector<double> update_count_;
+  /// DegradeLowestRatio's (access/update ratio, item) candidates, reused
+  /// across control ticks.
+  std::vector<std::pair<double, ItemId>> ranked_;
 
   int64_t budget_rejections_ = 0;
 };

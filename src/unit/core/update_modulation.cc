@@ -86,9 +86,11 @@ void UpdateModulator::Degrade(Database& db, Rng& rng, SimTime now) {
   ++degrade_signals_;
   const int batch =
       params_.degrade_batch > 0 ? params_.degrade_batch : sampler_.size();
-  for (int k = 0; k < batch; ++k) {
-    const int victim = sampler_.Sample(rng);
-    if (victim < 0) return;  // nothing eligible
+  // Draw the whole batch, then apply it in draw order: stretching a period
+  // changes no ticket, so the picks are those of a draw-apply loop, and
+  // trace events keep their order. Nothing eligible leaves picks_ empty.
+  sampler_.SampleMany(rng, batch, &picks_);
+  for (const int victim : picks_) {
     DataItemState& item = db.mutable_item(victim);
     const SimDuration before = item.current_period;
     const double cap =

@@ -145,6 +145,7 @@ class UpdateModulator {
   int64_t degrade_signals_ = 0;
   int64_t upgrade_signals_ = 0;
   int64_t total_picks_ = 0;
+  std::vector<int> picks_;  ///< Degrade's lottery draws, reused per signal
 };
 
 }  // namespace unitdb

@@ -6,6 +6,7 @@
 
 #include "unit/common/rng.h"
 #include "unit/db/data_item.h"
+#include "unit/workload/query_source.h"
 
 namespace unitdb {
 
@@ -95,6 +96,23 @@ StatusOr<FaultSchedule> FaultSchedule::Compile(const FaultScenarioSpec& spec,
     if (u.item >= 0 && u.item < workload.num_items) has_source[u.item] = 1;
   }
 
+  // Load steps and retry storms clone random trace queries as templates:
+  // a streamed trace is read once into a local list for them.
+  const std::vector<QueryRequest>* templates = &workload.queries;
+  std::vector<QueryRequest> streamed;
+  const bool clones = std::any_of(
+      spec.faults.begin(), spec.faults.end(), [](const FaultSpec& f) {
+        return f.kind == FaultKind::kLoadStep ||
+               f.kind == FaultKind::kRetryStorm;
+      });
+  if (clones && workload.query_source != nullptr) {
+    streamed.reserve(static_cast<size_t>(workload.query_source->count()));
+    QueryRequest q;
+    auto cursor = workload.query_source->NewCursor();
+    while (cursor->Next(&q)) streamed.push_back(q);
+    templates = &streamed;
+  }
+
   // Decorrelate injection streams across replications without consuming the
   // workload's own RNG: each fault forks one stream from the (scenario
   // seed, workload seed) mix.
@@ -149,7 +167,7 @@ StatusOr<FaultSchedule> FaultSchedule::Compile(const FaultScenarioSpec& spec,
     Rng rng(SplitMix64(mixed + static_cast<uint64_t>(i) + 1));
     if (fault.kind == FaultKind::kLoadStep ||
         fault.kind == FaultKind::kRetryStorm) {
-      if (workload.queries.empty()) {
+      if (templates->empty()) {
         return CompileError(i, std::string(FaultKindName(fault.kind)) +
                                    " needs a non-empty query trace");
       }
@@ -160,8 +178,8 @@ StatusOr<FaultSchedule> FaultSchedule::Compile(const FaultScenarioSpec& spec,
             1, SecondsToSim(rng.Exponential(mean_gap_s)));
         if (t >= end) break;
         const size_t pick = static_cast<size_t>(rng.UniformInt(
-            0, static_cast<int64_t>(workload.queries.size()) - 1));
-        QueryRequest q = workload.queries[pick];
+            0, static_cast<int64_t>(templates->size()) - 1));
+        QueryRequest q = (*templates)[pick];
         q.id = kInvalidTxn;
         q.arrival = t;
         if (fault.kind == FaultKind::kRetryStorm) {

@@ -49,7 +49,9 @@ class FaultSchedule {
   /// staying reproducible. Fails when an item selection names an item
   /// without an update source (outage/burst would be silent no-ops) or a
   /// window lies entirely outside [0, duration); windows are otherwise
-  /// clamped to the run.
+  /// clamped to the run. Load steps and retry storms clone trace queries,
+  /// read through a cursor when the trace streams; they fail on an empty
+  /// trace.
   static StatusOr<FaultSchedule> Compile(const FaultScenarioSpec& spec,
                                          const Workload& workload,
                                          uint64_t workload_seed);

@@ -437,9 +437,12 @@ void Engine::HandleControlTick() {
   if (next <= workload_.duration) {
     events_.Push(next, EventType::kControlTick, 0);
   }
-  // A control action (e.g. admission loosening) never needs an immediate
-  // dispatch, but period upgrades may have added update arrivals only at the
-  // next arrival event; nothing to do here.
+  // No dispatch here, although a control action can queue work: UNIT's
+  // upgrade path issues on-demand updates (IssueOnDemandUpdate), which wait
+  // in the ready queue for the next event that dispatches. After the last
+  // tick of a run no such event may come, and they stay queued at the end
+  // of the run. Dispatching here would fix that but change simulated
+  // outputs.
 }
 
 void Engine::HandleFaultEdge(int64_t edge_index) {

@@ -1,6 +1,7 @@
 #include "unit/shard/sharded.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -9,7 +10,6 @@
 #include <limits>
 #include <memory>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "unit/common/thread_pool.h"
@@ -231,8 +231,11 @@ FaultScenarioSpec ScopeScenario(const FaultScenarioSpec& spec,
   return scoped;
 }
 
-/// Runs one shard's full server stack over its sub-workload.
-StatusOr<ShardRunOutput> RunOneShard(const Workload& sub, int shard,
+/// Runs one shard's full server stack over its sub-workload. `input` is the
+/// unpartitioned workload: a single shard compiles its faults against it,
+/// exactly as the monolithic path does.
+StatusOr<ShardRunOutput> RunOneShard(const Workload& input,
+                                     const Workload& sub, int shard,
                                      int num_shards,
                                      const std::string& policy_name,
                                      const UsmWeights& weights,
@@ -259,7 +262,8 @@ StatusOr<ShardRunOutput> RunOneShard(const Workload& sub, int shard,
                                          : ScopeScenario(*params.scenario, sub);
     if (!scoped.empty()) {
       auto compiled = FaultSchedule::Compile(
-          scoped, sub, ShardSeed(params.fault_seed, shard, num_shards));
+          scoped, num_shards == 1 ? input : sub,
+          ShardSeed(params.fault_seed, shard, num_shards));
       if (!compiled.ok()) return compiled.status();
       schedule = std::move(compiled).value();
       if (!schedule.empty()) ep.faults = &schedule;
@@ -268,6 +272,10 @@ StatusOr<ShardRunOutput> RunOneShard(const Workload& sub, int shard,
 
   TimeSeriesRecorder series(weights);
   if (params.record_series) ep.series = &series;
+  // One record per resolved query: every trace query resolves at least
+  // once, and every injected one exactly once.
+  recorder.records.reserve(static_cast<size_t>(sub.QueryCount()) +
+                           schedule.injected_queries().size());
 
   ShardRunOutput out;
   std::unique_ptr<JsonlTraceSink> file_sink;
@@ -395,26 +403,51 @@ Status WriteMergedTrace(const std::vector<ShardRunOutput>& outputs,
   return Status::Ok();
 }
 
-/// Join state for one parent query while folding sub-records.
+/// Join state of one parent query while its sub-records arrive.
 struct ParentAgg {
-  bool any = false;
-  int expected = 1;
   int seen = 0;
   Outcome outcome = Outcome::kPending;
-  double freshness = std::numeric_limits<double>::infinity();
-  SimTime arrival = 0;
-  SimTime commit = -1;
   int restarts = 0;
+  /// The shard whose record set `arrival` and `pref_class`: the highest
+  /// one, as a shard-by-shard fold leaves them.
+  int from_shard = -1;
   int pref_class = 0;
-  TxnId trace_id = kInvalidTxn;
-  // Merged resolution instant: lexicographic max of (resolve_time, shard,
-  // per-shard record index) over the parent's sub-queries. At shards=1 this
-  // degenerates to shard 0's resolution order, which is what makes the
-  // merged stat fold bit-identical to the monolithic engine's.
-  SimTime rt = -1;
-  int rt_shard = -1;
-  int64_t rt_pos = -1;
+  double freshness = std::numeric_limits<double>::infinity();
+  SimTime commit = -1;
+  SimTime arrival = 0;
 };
+
+/// Folds one sub-record from `shard` into its parent.
+void FoldSubRecord(const SubRecord& rec, int shard, ParentAgg* p) {
+  p->outcome = p->seen > 0 ? CrossShardJoin(p->outcome, rec.outcome)
+                           : rec.outcome;
+  ++p->seen;
+  if (rec.outcome == Outcome::kSuccess || rec.outcome == Outcome::kDataStale) {
+    // Committed sub: parent freshness is the min over committed subs
+    // (exactly the monolithic Eq. 1 value — QueryFreshness is itself a min
+    // over the read set), commit instant the latest sub commit.
+    p->freshness = std::min(p->freshness, rec.freshness);
+    p->commit = std::max(p->commit, rec.commit_time);
+  }
+  p->restarts += rec.restarts;
+  if (shard >= p->from_shard) {
+    p->from_shard = shard;
+    p->arrival = rec.arrival;
+    p->pref_class = rec.pref_class;
+  }
+}
+
+/// A shard's next unconsumed record in the join's merge.
+struct MergeHead {
+  SimTime time;  ///< its resolve time
+  int shard;
+};
+
+/// Heap order of the merge: the head with the smaller (resolve_time, shard)
+/// comes out first; positions within a shard follow.
+bool Later(const MergeHead& a, const MergeHead& b) {
+  return a.time > b.time || (a.time == b.time && a.shard > b.shard);
+}
 
 }  // namespace
 
@@ -430,6 +463,17 @@ StatusOr<ShardPartition> PartitionWorkload(const Workload& w,
     sub.duration = w.duration;
     sub.query_trace_name = w.query_trace_name;
     sub.update_trace_name = w.update_trace_name;
+  }
+  if (n == 1) {
+    // The one sub-workload reads the input's own trace through a view that
+    // numbers queries by trace index: exactly the sub-trace a copy would
+    // hold, with no query copied.
+    Workload& sub = part.shards[0];
+    sub.updates = w.updates;
+    sub.query_source = std::make_shared<TraceIndexView>(&w);
+    part.subqueries = w.QueryCount();
+    part.sub_count.assign(static_cast<size_t>(part.subqueries), 1);
+    return part;
   }
   for (const auto& u : w.updates) {
     part.shards[static_cast<size_t>(router.ShardOf(u.item))].updates.push_back(
@@ -531,7 +575,8 @@ StatusOr<ShardedResult> RunSharded(const Workload& workload,
     futures.reserve(static_cast<size_t>(n));
     for (int s = 0; s < n; ++s) {
       futures.push_back(pool.Submit([&, s]() {
-        return RunOneShard(part.value().shards[static_cast<size_t>(s)], s, n,
+        return RunOneShard(workload,
+                           part.value().shards[static_cast<size_t>(s)], s, n,
                            policy, weights, params);
       }));
     }
@@ -545,7 +590,8 @@ StatusOr<ShardedResult> RunSharded(const Workload& workload,
     }
   } else {
     for (int s = 0; s < n; ++s) {
-      auto r = RunOneShard(part.value().shards[static_cast<size_t>(s)], s, n,
+      auto r = RunOneShard(workload,
+                           part.value().shards[static_cast<size_t>(s)], s, n,
                            policy, weights, params);
       if (!r.ok()) {
         first_error = r.status();
@@ -631,142 +677,175 @@ StatusOr<ShardedResult> RunSharded(const Workload& workload,
   // trace index carried in Transaction::trace_id; fault-injected queries
   // (trace_id kInvalidTxn) are their own single-sub parents.
   const std::vector<int>& sub_count = part.value().sub_count;
-  std::vector<ParentAgg> parents(sub_count.size());
-  std::vector<ParentAgg> injected;
+  const auto unknown_parent = [&](TxnId id) {
+    return id < 0 || static_cast<size_t>(id) >= sub_count.size();
+  };
+  const auto unknown_parent_error = [](TxnId id) {
+    return Status::Internal("sub-query resolved with unknown parent " +
+                            std::to_string(id));
+  };
   // Closed-loop runs resolve one sub-record per *attempt* of a parent's
   // sub-query on its home shard. The parent join is over final outcomes, so
-  // pre-filter each shard's records to the last record per parent (original
-  // positions preserved for the (resolve_time, shard, pos) merge key;
-  // injected queries have no sessions and every record kept). When sessions
-  // are off the mask is all-ones and the join below is unchanged.
+  // each shard keeps only its last record per parent (injected queries have
+  // no sessions and every record is kept); a backward scan marks them.
+  // When sessions are off every record is kept.
   const bool closed_loop = params.engine.session.sessions > 0;
-  for (int s = 0; s < n; ++s) {
-    const auto& records = outputs[static_cast<size_t>(s)].records;
-    std::vector<char> keep;
-    if (closed_loop) {
-      keep.assign(records.size(), 0);
-      std::unordered_map<TxnId, size_t> last;
-      for (size_t pos = 0; pos < records.size(); ++pos) {
-        if (records[pos].trace_id == kInvalidTxn) {
-          keep[pos] = 1;
-        } else {
-          last[records[pos].trace_id] = pos;
+  std::vector<std::vector<char>> keep(static_cast<size_t>(n));
+  if (closed_loop) {
+    std::vector<int> kept_on(sub_count.size(), -1);  // shard that kept it
+    for (int s = 0; s < n; ++s) {
+      const auto& records = outputs[static_cast<size_t>(s)].records;
+      std::vector<char>& k = keep[static_cast<size_t>(s)];
+      k.assign(records.size(), 0);
+      for (size_t pos = records.size(); pos-- > 0;) {
+        const TxnId id = records[pos].trace_id;
+        if (id == kInvalidTxn) {
+          k[pos] = 1;
+        } else if (unknown_parent(id)) {
+          return unknown_parent_error(id);
+        } else if (kept_on[static_cast<size_t>(id)] != s) {
+          kept_on[static_cast<size_t>(id)] = s;
+          k[pos] = 1;
         }
-      }
-      for (const auto& [id, pos] : last) keep[pos] = 1;
-    }
-    for (size_t pos = 0; pos < records.size(); ++pos) {
-      if (closed_loop && keep[pos] == 0) continue;
-      const SubRecord& rec = records[pos];
-      ParentAgg* p;
-      if (rec.trace_id == kInvalidTxn) {
-        injected.emplace_back();
-        p = &injected.back();
-      } else {
-        if (rec.trace_id < 0 ||
-            static_cast<size_t>(rec.trace_id) >= parents.size()) {
-          return Status::Internal("sub-query resolved with unknown parent " +
-                                  std::to_string(rec.trace_id));
-        }
-        p = &parents[static_cast<size_t>(rec.trace_id)];
-        p->expected = sub_count[static_cast<size_t>(rec.trace_id)];
-      }
-      p->outcome = p->any ? CrossShardJoin(p->outcome, rec.outcome)
-                          : rec.outcome;
-      p->any = true;
-      ++p->seen;
-      if (rec.outcome == Outcome::kSuccess ||
-          rec.outcome == Outcome::kDataStale) {
-        // Committed sub: parent freshness is the min over committed subs
-        // (exactly the monolithic Eq. 1 value — QueryFreshness is itself a
-        // min over the read set), commit instant the latest sub commit.
-        p->freshness = std::min(p->freshness, rec.freshness);
-        p->commit = std::max(p->commit, rec.commit_time);
-      }
-      p->arrival = rec.arrival;
-      p->restarts += rec.restarts;
-      p->pref_class = rec.pref_class;
-      p->trace_id = rec.trace_id;
-      const auto key = std::make_tuple(rec.resolve_time, s,
-                                       static_cast<int64_t>(pos));
-      if (key > std::make_tuple(p->rt, p->rt_shard, p->rt_pos)) {
-        p->rt = rec.resolve_time;
-        p->rt_shard = s;
-        p->rt_pos = static_cast<int64_t>(pos);
       }
     }
   }
-  for (size_t i = 0; i < parents.size(); ++i) {
-    if (!parents[i].any || parents[i].seen != parents[i].expected) {
-      return Status::Internal(
-          "parent " + std::to_string(i) + " joined " +
-          std::to_string(parents[i].seen) + "/" +
-          std::to_string(parents[i].expected) + " sub-queries");
-    }
-  }
 
-  // Parent-level accounting, folded in merged resolution order: sort by
-  // (last sub resolve time, shard, per-shard index) — a total order over
-  // unique keys, identical for every jobs count, and equal to shard 0's
-  // resolution order when shards=1 (bit-identical stat folds).
-  std::vector<const ParentAgg*> order;
-  order.reserve(parents.size() + injected.size());
-  for (const ParentAgg& p : parents) order.push_back(&p);
-  for (const ParentAgg& p : injected) order.push_back(&p);
-  std::sort(order.begin(), order.end(),
-            [](const ParentAgg* a, const ParentAgg* b) {
-              return std::tie(a->rt, a->rt_shard, a->rt_pos) <
-                     std::tie(b->rt, b->rt_shard, b->rt_pos);
-            });
-
+  // Parent-level accounting in merged resolution order: a shard resolves
+  // its records in (resolve_time, pos) order, since its clock never runs
+  // backwards, so a k-way merge of the shards' kept records by
+  // (resolve_time, shard, pos) visits every sub-record in one total order,
+  // identical for every jobs count. A parent is complete at its last
+  // sub-record, its largest key, and is folded into the counts and stats
+  // right then; at shards=1 this is shard 0's resolution order, which is
+  // what makes the merged stat folds bit-identical to the monolithic
+  // engine's.
   merged.counts = OutcomeCounts{};
   merged.per_class_counts.clear();
   merged.query_response_s.Clear();
   merged.query_freshness.Clear();
-  result.queries.reserve(order.size());
-  for (const ParentAgg* p : order) {
-    auto count = [&](OutcomeCounts& c) {
-      ++c.submitted;
-      switch (p->outcome) {
-        case Outcome::kSuccess:
-          ++c.success;
-          break;
-        case Outcome::kRejected:
-          ++c.rejected;
-          break;
-        case Outcome::kDeadlineMiss:
-          ++c.dmf;
-          break;
-        case Outcome::kDataStale:
-          ++c.dsf;
-          break;
-        case Outcome::kPending:
-          break;
-      }
-    };
-    count(merged.counts);
-    if (static_cast<size_t>(p->pref_class) >= merged.per_class_counts.size()) {
-      merged.per_class_counts.resize(
-          static_cast<size_t>(p->pref_class) + 1);
+  const auto count = [](Outcome outcome, OutcomeCounts& c) {
+    ++c.submitted;
+    switch (outcome) {
+      case Outcome::kSuccess:
+        ++c.success;
+        break;
+      case Outcome::kRejected:
+        ++c.rejected;
+        break;
+      case Outcome::kDeadlineMiss:
+        ++c.dmf;
+        break;
+      case Outcome::kDataStale:
+        ++c.dsf;
+        break;
+      case Outcome::kPending:
+        break;
     }
-    count(merged.per_class_counts[static_cast<size_t>(p->pref_class)]);
-    const bool committed = p->outcome == Outcome::kSuccess ||
-                           p->outcome == Outcome::kDataStale;
+  };
+  const auto emit = [&](const ParentAgg& p, TxnId trace_id, SimTime rt) {
+    count(p.outcome, merged.counts);
+    const auto cls = static_cast<size_t>(p.pref_class);
+    if (cls >= merged.per_class_counts.size()) {
+      merged.per_class_counts.resize(cls + 1);
+    }
+    count(p.outcome, merged.per_class_counts[cls]);
+    const bool committed = p.outcome == Outcome::kSuccess ||
+                           p.outcome == Outcome::kDataStale;
     if (committed) {
-      merged.query_response_s.Add(SimToSeconds(p->commit - p->arrival));
-      merged.query_freshness.Add(p->freshness);
+      merged.query_response_s.Add(SimToSeconds(p.commit - p.arrival));
+      merged.query_freshness.Add(p.freshness);
+    }
+    ShardQueryRecord rec;
+    rec.trace_id = trace_id;
+    rec.outcome = p.outcome;
+    rec.observed_freshness = committed ? p.freshness : -1.0;
+    rec.commit_time = committed ? p.commit : -1;
+    rec.resolve_time = rt;
+    rec.restarts = p.restarts;
+    rec.preference_class = p.pref_class;
+    rec.subqueries = p.seen;
+    result.queries.push_back(rec);
+  };
+
+  // Sub-records each parent still awaits; it completes at 0. Parents split
+  // across shards fold into `partial`, one slot each (in trace order,
+  // through slot_of); every other parent is emitted straight from its one
+  // record.
+  std::vector<int> remaining = sub_count;
+  std::vector<int> slot_of;
+  std::vector<ParentAgg> partial;
+  if (part.value().cross_shard_queries > 0) {
+    slot_of.assign(sub_count.size(), -1);
+    int slots = 0;
+    for (size_t i = 0; i < sub_count.size(); ++i) {
+      if (sub_count[i] > 1) slot_of[i] = slots++;
+    }
+    partial.resize(static_cast<size_t>(slots));
+  }
+  result.queries.reserve(sub_count.size());
+
+  // The merge: a min-heap over the head record of every shard, keyed by
+  // (resolve_time, shard); `next[s]` is shard s's head position.
+  std::vector<size_t> next(static_cast<size_t>(n), 0);
+  const auto to_kept = [&](int s) {  // false once shard s is exhausted
+    const auto& records = outputs[static_cast<size_t>(s)].records;
+    size_t& pos = next[static_cast<size_t>(s)];
+    if (closed_loop) {
+      const std::vector<char>& k = keep[static_cast<size_t>(s)];
+      while (pos < records.size() && k[pos] == 0) ++pos;
+    }
+    return pos < records.size();
+  };
+  std::vector<MergeHead> heads;
+  heads.reserve(static_cast<size_t>(n));
+  for (int s = 0; s < n; ++s) {
+    if (!to_kept(s)) continue;
+    heads.push_back(MergeHead{outputs[static_cast<size_t>(s)]
+                                  .records[next[static_cast<size_t>(s)]]
+                                  .resolve_time,
+                              s});
+  }
+  std::make_heap(heads.begin(), heads.end(), Later);
+  while (!heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), Later);
+    const int s = heads.back().shard;
+    const auto& records = outputs[static_cast<size_t>(s)].records;
+    const SubRecord& rec = records[next[static_cast<size_t>(s)]++];
+    if (to_kept(s)) {
+      heads.back().time = records[next[static_cast<size_t>(s)]].resolve_time;
+      assert(heads.back().time >= rec.resolve_time);
+      std::push_heap(heads.begin(), heads.end(), Later);
+    } else {
+      heads.pop_back();
     }
 
-    ShardQueryRecord rec;
-    rec.trace_id = p->trace_id;
-    rec.outcome = p->outcome;
-    rec.observed_freshness = committed ? p->freshness : -1.0;
-    rec.commit_time = committed ? p->commit : -1;
-    rec.resolve_time = p->rt;
-    rec.restarts = p->restarts;
-    rec.preference_class = p->pref_class;
-    rec.subqueries = p->seen;
-    result.queries.push_back(rec);
+    const TxnId id = rec.trace_id;
+    if (id != kInvalidTxn && unknown_parent(id)) return unknown_parent_error(id);
+    if (id != kInvalidTxn && sub_count[static_cast<size_t>(id)] > 1) {
+      ParentAgg& p = partial[static_cast<size_t>(
+          slot_of[static_cast<size_t>(id)])];
+      FoldSubRecord(rec, s, &p);
+      if (--remaining[static_cast<size_t>(id)] == 0) {
+        emit(p, id, rec.resolve_time);
+      }
+      continue;
+    }
+    // A fault-injected query, or a parent with one sub-query.
+    if (id != kInvalidTxn && --remaining[static_cast<size_t>(id)] != 0) {
+      continue;  // a second record: reported below
+    }
+    ParentAgg one;
+    FoldSubRecord(rec, s, &one);
+    emit(one, id, rec.resolve_time);
+  }
+  for (size_t i = 0; i < remaining.size(); ++i) {
+    if (remaining[i] != 0) {
+      return Status::Internal(
+          "parent " + std::to_string(i) + " joined " +
+          std::to_string(sub_count[i] - remaining[i]) + "/" +
+          std::to_string(sub_count[i]) + " sub-queries");
+    }
   }
 
   result.usm = UsmAverage(merged.counts, weights);

@@ -107,8 +107,10 @@ struct ShardPartition {
 /// clamped to >= 1 tick, remainder on the last touched shard). Sub-query
 /// `id` carries the parent's trace index so per-shard results can be joined
 /// back. A streaming workload is read through a cursor. With one shard the
-/// single sub-workload is the input workload item for item. Returns
-/// InvalidArgument when a materialized trace is not sorted by arrival.
+/// single sub-workload is the input workload item for item, read through a
+/// TraceIndexView (workload/query_source.h) rather than copied, so `w` must
+/// outlive the partition. Returns InvalidArgument when a materialized trace
+/// is not sorted by arrival.
 StatusOr<ShardPartition> PartitionWorkload(const Workload& w,
                                            const ShardRouter& router);
 

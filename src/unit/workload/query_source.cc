@@ -24,10 +24,40 @@ class VectorCursor final : public QueryCursor {
   size_t next_ = 0;
 };
 
+/// Cursor of a TraceIndexView: the viewed trace, renumbered by position.
+class TraceIndexCursor final : public QueryCursor {
+ public:
+  explicit TraceIndexCursor(const Workload* trace)
+      : trace_(trace),
+        inner_(trace->query_source != nullptr
+                   ? trace->query_source->NewCursor()
+                   : nullptr) {}
+
+  bool Next(QueryRequest* out) override {
+    if (inner_ != nullptr) {
+      if (!inner_->Next(out)) return false;
+    } else {
+      if (next_ >= trace_->queries.size()) return false;
+      *out = trace_->queries[next_];
+    }
+    out->id = static_cast<TxnId>(next_++);
+    return true;
+  }
+
+ private:
+  const Workload* trace_;
+  std::unique_ptr<QueryCursor> inner_;  ///< set when the trace streams
+  size_t next_ = 0;
+};
+
 }  // namespace
 
 std::unique_ptr<QueryCursor> VectorQuerySource::NewCursor() const {
   return std::make_unique<VectorCursor>(&queries_);
+}
+
+std::unique_ptr<QueryCursor> TraceIndexView::NewCursor() const {
+  return std::make_unique<TraceIndexCursor>(trace_);
 }
 
 QueryStreamCalibration CalibrateQueryStream(const QueryTraceParams& p) {

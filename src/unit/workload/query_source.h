@@ -58,6 +58,22 @@ class VectorQuerySource final : public QuerySource {
   std::vector<QueryRequest> queries_;
 };
 
+/// QuerySource view over another workload's query trace, materialized or
+/// streamed, that numbers the queries by trace index (ids 0, 1, 2, ...)
+/// whatever ids the trace carries. The single shard of a one-shard
+/// partition reads its input this way instead of copying it. Holds a
+/// pointer: `trace` must outlive the view and every cursor it makes.
+class TraceIndexView final : public QuerySource {
+ public:
+  explicit TraceIndexView(const Workload* trace) : trace_(trace) {}
+
+  int64_t count() const override { return trace_->QueryCount(); }
+  std::unique_ptr<QueryCursor> NewCursor() const override;
+
+ private:
+  const Workload* trace_;
+};
+
 /// Whole-trace properties the streaming generator needs before the first
 /// query: GenerateQueryTrace draws each deadline from Uniform[lo, hi] where
 /// lo/hi derive from the mean and max execution time over the *entire*

@@ -181,5 +181,132 @@ TEST(LotterySamplerTest, MinTicketMatchesBruteForceMinimum) {
   }
 }
 
+// --- SampleMany: batched draws against the Sample loop ---------------------
+
+// The reference: `count` Sample calls, stopping at the first -1.
+std::vector<int> SampleLoop(const LotterySampler& s, Rng& rng, int count) {
+  std::vector<int> picks;
+  for (int k = 0; k < count; ++k) {
+    const int pick = s.Sample(rng);
+    if (pick < 0) break;
+    picks.push_back(pick);
+  }
+  return picks;
+}
+
+// Each side draws from its own copy of `s`, so a re-anchor of a stale floor
+// happens on both paths, and its own Rng from `seed`: the picks and the next
+// raw draw must agree.
+void ExpectSampleManyMatchesLoop(const LotterySampler& s, int count,
+                                 uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "n=" << s.size() << " count=" << count
+                                    << " seed=" << seed);
+  LotterySampler batched = s;
+  LotterySampler looped = s;
+  Rng a(seed);
+  Rng b(seed);
+  std::vector<int> many = {-7};  // SampleMany clears what it is given
+  batched.SampleMany(a, count, &many);
+  EXPECT_EQ(many, SampleLoop(looped, b, count));
+  EXPECT_EQ(a.NextU64(), b.NextU64());
+}
+
+// Counts the draws among `count` Sample calls that took the rounding
+// fallback: a weighted draw spends exactly one NextU64 unless it falls back.
+int CountRoundingFallbacks(const LotterySampler& s, int count, uint64_t seed) {
+  Rng rng(seed);
+  int fallbacks = 0;
+  for (int k = 0; k < count; ++k) {
+    Rng one_dart = rng;
+    one_dart.NextU64();
+    s.Sample(rng);
+    Rng after = rng;
+    if (after.NextU64() != one_dart.NextU64()) ++fallbacks;
+  }
+  return fallbacks;
+}
+
+// Leaves the Fenwick tree's stored sums 1 below its running total: weight
+// 1 on item 1 is absorbed into 1e16 on item 0, then both weights drop to
+// zero, which drives the total below zero (clamped to 0) and the tree's sums
+// to -1, and item 1 then takes weight 5. Darts in [4, 5) + the other items'
+// weights run past the last slot and clamp onto item n - 1, made ineligible
+// here, so those draws take the uniform fallback.
+LotterySampler RoundingSkewed(int n) {
+  LotterySampler s(n);
+  s.SetEligible(n - 1, false);
+  s.SetTicket(0, 1e16);
+  s.SetTicket(1, 1.0);
+  s.SetTicket(0, 0.0);
+  s.SetTicket(1, 0.0);
+  s.SetTicket(1, 5.0);
+  return s;
+}
+
+TEST(LotterySamplerTest, SampleManyMatchesSequentialSample) {
+  const int counts[] = {0, 1, 7, 8, 9, 17, 63, 64, 100};
+  for (int n : {1, 3, 7, 64, 1000, 4096}) {
+    // Random tickets, every item eligible.
+    LotterySampler s(n);
+    Rng traffic(static_cast<uint64_t>(n));
+    for (int i = 0; i < n; ++i) s.SetTicket(i, traffic.Uniform(-2.0, 3.0));
+    for (int count : counts) ExpectSampleManyMatchesLoop(s, count, 11);
+    ExpectSampleManyMatchesLoop(s, n, 12);
+    ExpectSampleManyMatchesLoop(s, 3 * n + 5, 13);
+
+    // About a third of the items ineligible (never all of them).
+    LotterySampler sparse = s;
+    for (int i = 1; i < n; ++i) {
+      if (traffic.Bernoulli(0.35)) sparse.SetEligible(i, false);
+    }
+    for (int count : counts) ExpectSampleManyMatchesLoop(sparse, count, 21);
+    ExpectSampleManyMatchesLoop(sparse, n, 22);
+
+    // All tickets equal: every weight is zero, the uniform lottery.
+    LotterySampler equal(n);
+    for (int i = 0; i < n; ++i) equal.SetTicket(i, 0.75);
+    for (int count : counts) ExpectSampleManyMatchesLoop(equal, count, 31);
+    ExpectSampleManyMatchesLoop(equal, n, 32);
+
+    // Stale floor: raising the minimum ticket does not re-anchor, so the
+    // first draw of either path must.
+    LotterySampler stale = s;
+    int argmin = 0;
+    for (int i = 1; i < n; ++i) {
+      if (stale.ticket(i) < stale.ticket(argmin)) argmin = i;
+    }
+    stale.SetTicket(argmin, stale.ticket(argmin) + 4.0);
+    for (int count : counts) ExpectSampleManyMatchesLoop(stale, count, 41);
+    ExpectSampleManyMatchesLoop(stale, n, 42);
+  }
+
+  // Nothing eligible: no picks and no draws.
+  LotterySampler none(5);
+  for (int i = 0; i < 5; ++i) none.SetEligible(i, false);
+  ExpectSampleManyMatchesLoop(none, 9, 51);
+}
+
+TEST(LotterySamplerTest, SampleManyReplaysGroupsThatHitTheRoundingFallback) {
+  for (int n : {3, 7, 64, 1000, 4096}) {
+    SCOPED_TRACE(n);
+    LotterySampler s = RoundingSkewed(n);
+    Rng traffic(static_cast<uint64_t>(n) + 1);
+    // Other weights sum to about 2 for every n, so about one dart in
+    // seven falls back.
+    const double top = 20.0 / n;
+    for (int i = 2; i + 1 < n; ++i) {
+      if (traffic.Bernoulli(0.2)) s.SetTicket(i, traffic.Uniform(0.0, top));
+    }
+    // The construction really reaches the fallback, on some draws only.
+    const int fallbacks = CountRoundingFallbacks(s, 400, 61);
+    EXPECT_GT(fallbacks, 0);
+    EXPECT_LT(fallbacks, 200);
+    for (int count : {1, 8, 9, 40, 400, 1001}) {
+      ExpectSampleManyMatchesLoop(s, count, 61);
+      ExpectSampleManyMatchesLoop(s, count, 62);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace unitdb

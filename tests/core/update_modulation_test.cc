@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "unit/txn/transaction.h"
@@ -272,6 +273,76 @@ TEST(UpdateModulatorTest, AttachSourcesRebuildsOnceAndMatchesPerItemPath) {
       ASSERT_EQ(bulk.WeightOf(i), per_item.WeightOf(i)) << i;
     }
     EXPECT_EQ(bulk.rebuilds(), 1);
+  }
+}
+
+// The Degrade signal as a draw-apply loop, one Sample per pick: what Degrade
+// did before it drew its picks in one batch.
+void ReferenceDegrade(const LotterySampler& sampler, const ModulationParams& p,
+                      Database& db, Rng& rng, int64_t* picks) {
+  const int batch = p.degrade_batch > 0 ? p.degrade_batch : sampler.size();
+  for (int k = 0; k < batch; ++k) {
+    const int victim = sampler.Sample(rng);
+    if (victim < 0) return;
+    const DataItemState& item = db.item(victim);
+    const double cap = static_cast<double>(item.ideal_period) * p.max_stretch;
+    const double stretched = std::min(
+        cap, static_cast<double>(item.current_period) * (1.0 + p.c_du));
+    db.SetCurrentPeriod(victim, static_cast<SimDuration>(stretched));
+    ++*picks;
+  }
+}
+
+TEST(UpdateModulatorTest, DegradeMatchesThePerDrawLoop) {
+  for (int n : {3, 64, 1000, 4096}) {
+    for (int degrade_batch : {0, 5, 37}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " batch="
+                                        << degrade_batch);
+      std::vector<ItemUpdateSpec> specs;
+      Rng traffic(static_cast<uint64_t>(n + degrade_batch));
+      for (ItemId i = 0; i < n; ++i) {
+        if (traffic.Bernoulli(0.6)) {
+          specs.push_back(Source(i, traffic.Uniform(1.0, 8.0), 5.0));
+        }
+      }
+      Database db(n);
+      ASSERT_TRUE(db.ApplySpecs(specs).ok());
+      Database reference_db(n);
+      ASSERT_TRUE(reference_db.ApplySpecs(specs).ok());
+      ModulationParams p;
+      p.degrade_batch = degrade_batch;
+      p.max_stretch = 16.0;
+      UpdateModulator um(n, p);
+      um.AttachSources(db);
+      Rng rng(17);
+      Rng reference_rng(17);
+      int64_t reference_picks = 0;
+      for (int signal = 0; signal < 12; ++signal) {
+        // Ticket traffic between signals moves weights and the minimum.
+        for (int e = 0; e < 50; ++e) {
+          const ItemId item = static_cast<ItemId>(traffic.UniformInt(0, n - 1));
+          const SimTime now = SecondsToSim(signal + 0.01 * e);
+          if (traffic.Bernoulli(0.7)) {
+            um.OnUpdateArrival(item, MillisToSim(traffic.Uniform(1.0, 20.0)),
+                               now);
+          } else {
+            um.OnQueryAccess(item, Query(20.0, 1.0), now);
+          }
+        }
+        // The sampler as Degrade sees it, before its draws re-anchor it.
+        const LotterySampler before = um.sampler();
+        um.Degrade(db, rng);
+        ReferenceDegrade(before, p, reference_db, reference_rng,
+                         &reference_picks);
+        EXPECT_EQ(um.total_picks(), reference_picks) << signal;
+        for (ItemId i = 0; i < n; ++i) {
+          ASSERT_EQ(db.item(i).current_period,
+                    reference_db.item(i).current_period)
+              << "signal " << signal << " item " << i;
+        }
+        EXPECT_EQ(rng.NextU64(), reference_rng.NextU64()) << signal;
+      }
+    }
   }
 }
 

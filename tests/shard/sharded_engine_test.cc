@@ -8,6 +8,7 @@
 
 #include "unit/shard/router.h"
 #include "unit/sim/experiment.h"
+#include "unit/workload/query_source.h"
 
 namespace unitdb {
 namespace {
@@ -58,16 +59,45 @@ TEST(PartitionWorkloadTest, SingleShardIsTheIdentity) {
   EXPECT_EQ(part->cross_shard_queries, 0);
   EXPECT_EQ(part->subqueries, static_cast<int64_t>(w->queries.size()));
 
+  // The one sub-workload reads the input's trace through a view, with no
+  // query copied.
   const Workload& sub = part->shards[0];
-  ASSERT_EQ(sub.queries.size(), w->queries.size());
+  EXPECT_TRUE(sub.queries.empty());
+  ASSERT_NE(sub.query_source, nullptr);
+  ASSERT_EQ(sub.QueryCount(), static_cast<int64_t>(w->queries.size()));
   ASSERT_EQ(sub.updates.size(), w->updates.size());
+  auto cursor = sub.query_source->NewCursor();
+  QueryRequest q;
   for (size_t i = 0; i < w->queries.size(); ++i) {
-    EXPECT_EQ(sub.queries[i].arrival, w->queries[i].arrival);
-    EXPECT_EQ(sub.queries[i].exec, w->queries[i].exec);
-    EXPECT_EQ(sub.queries[i].items, w->queries[i].items);
+    ASSERT_TRUE(cursor->Next(&q));
+    EXPECT_EQ(q.arrival, w->queries[i].arrival);
+    EXPECT_EQ(q.exec, w->queries[i].exec);
+    EXPECT_EQ(q.items, w->queries[i].items);
     // Sub id carries the parent trace index.
-    EXPECT_EQ(sub.queries[i].id, static_cast<TxnId>(i));
+    EXPECT_EQ(q.id, static_cast<TxnId>(i));
   }
+  EXPECT_FALSE(cursor->Next(&q));
+}
+
+TEST(PartitionWorkloadTest, SingleShardViewNumbersAStreamedTraceByIndex) {
+  auto w = SmallWorkload();
+  ASSERT_TRUE(w.ok());
+  Workload streamed = *w;
+  for (QueryRequest& q : streamed.queries) q.id += 1000;  // not the index
+  ConvertToStreamingWorkload(&streamed);
+  auto part = PartitionWorkload(streamed, ShardRouter(1));
+  ASSERT_TRUE(part.ok());
+  const Workload& sub = part->shards[0];
+  ASSERT_EQ(sub.QueryCount(), static_cast<int64_t>(w->queries.size()));
+  auto cursor = sub.query_source->NewCursor();
+  QueryRequest q;
+  for (size_t i = 0; i < w->queries.size(); ++i) {
+    ASSERT_TRUE(cursor->Next(&q));
+    EXPECT_EQ(q.arrival, w->queries[i].arrival);
+    EXPECT_EQ(q.items, w->queries[i].items);
+    EXPECT_EQ(q.id, static_cast<TxnId>(i));
+  }
+  EXPECT_FALSE(cursor->Next(&q));
 }
 
 TEST(PartitionWorkloadTest, RoutesEveryUpdateToItsOwningShard) {
